@@ -18,7 +18,7 @@ from .errors import (CacheError, InvalidArgumentError, OutOfRangeError,
                      PrecisionError, PrecisionWarning, ResourceLimitError,
                      ZetaDivError)
 from .error_terms import (AtkinsonEval, E_atkinson, E_balasubramanian, E_direct,
-                          E_grid, E_main_term, E_star, ErrorTermSample,
+                          E_grid, E_star, ErrorTermSample,
                           MomentResult, ScanResult, ZetaMeanSquare,
                           cross_formula_constant, empirical_exponent, estar_scan,
                           fit_log_cubic, moment_scan, short_interval_ms)
@@ -27,7 +27,7 @@ from .exppairs import (ExponentPair, ExponentReport, SearchResult, apply_A,
                        search_optimal, seed_pairs, write_frontier_csv)
 from .voronoi import (VoronoiSum, delta_series_target, delta_star_series_target,
                       voronoi_delta, voronoi_delta_star)
-from .zeta import (CriticalSample, ThetaPhase, chi_factor, chi_stirling,
+from .zeta import (CriticalSample, chi_factor, chi_stirling,
                    convexity_exponent, rs_term_count, rs_theta, rs_z_grid,
                    theta1, theta1_deriv, z_function, zeta_abs2_grid, zeta_em)
 

@@ -6,9 +6,9 @@ number and prints the standard one-line verdict.  Heavyweight inputs
 in for reuse.
 
 Criterion 6's running-max slope clause is implemented exactly as stated
-and fails on honest data at this height range; see the repository notes
-for the measurement analysis.  Everything else passes at the stated
-tolerances.
+and fails on honest data at this height range; see the known-red
+paragraph under "Install and test" in README.md for the measurement
+analysis.  Everything else passes at the stated tolerances.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import numpy as np
 from .divisor import (DivisorTable, delta, delta_grid, delta_star,
                       delta_star_alternating, delta_via_psi, divisor_sum,
                       hyperbola_divisor_sum, sieve_divisors)
-from .error_terms import (E_atkinson, E_balasubramanian, E_direct, ZetaMeanSquare,
-                          empirical_exponent, estar_scan, fit_log_cubic,
-                          moment_scan_from_samples, short_interval_ms)
+from .error_terms import (ZetaMeanSquare, cross_formula_constant, empirical_exponent,
+                          estar_scan, fit_log_cubic, moment_scan_from_samples,
+                          short_interval_ms)
 from .exppairs import ExponentPair, report, search_optimal
 from .voronoi import voronoi_delta, voronoi_delta_star
 from .zeta import TWO_PI, chi_factor, z_function, zeta_abs2_grid, zeta_em
@@ -129,16 +129,11 @@ def criterion_5(table: DivisorTable | None = None,
         table = sieve_divisors(6000)
     if integrator is None:
         integrator = ZetaMeanSquare()
-    C = 0.0
-    rows = []
-    for T in (100.0, 300.0, 1000.0, 3000.0, 5000.0):
-        ed = E_direct(T, integrator=integrator)
-        ea = E_atkinson(T, table=table).value
-        eb = E_balasubramanian(T)
-        l2 = math.log(T) ** 2
-        C = max(C, abs(ed - ea) / l2, abs(ed - eb) / l2)
-        rows.append(f"T={T:.0f}: {ed:+.2f}/{ea:+.2f}/{eb:+.2f}")
-    return C <= 20.0, f"fitted C = {C:.4f} (<= 20); " + "; ".join(rows)
+    fit = cross_formula_constant((100.0, 300.0, 1000.0, 3000.0, 5000.0),
+                                 table=table, integrator=integrator)
+    rows = [f"T={r['T']:.0f}: {r['E_direct']:+.2f}/{r['E_atkinson']:+.2f}/"
+            f"{r['E_balasubramanian']:+.2f}" for r in fit["rows"]]
+    return fit["C"] <= 20.0, f"fitted C = {fit['C']:.4f} (<= 20); " + "; ".join(rows)
 
 
 def subconvexity_scan() -> tuple[np.ndarray, np.ndarray]:
@@ -182,8 +177,6 @@ def criterion_6() -> tuple[bool, str]:
 def criterion_7(table: DivisorTable | None = None,
                 tmax: float = 2e4) -> tuple[bool, str]:
     """E* moment suite on [0, tmax] at grid step 0.25."""
-    if table is None:
-        table = sieve_divisors(int(4 * tmax / TWO_PI) + 2)
     scan = estar_scan(tmax, 0.25, table=table)
     ok = True
     details = []

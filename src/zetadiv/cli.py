@@ -6,8 +6,8 @@ output).  Data sections are byte-deterministic for a fixed config and
 version: fixed iteration orders, no randomised quadrature, shortest
 round-trip float formatting.
 
-Exit codes: 0 success, 2 usage / invalid argument, 3 resource cap,
-4 precision failure.
+Exit codes: 0 success, 1 an acceptance criterion failed, 2 usage /
+invalid argument, 3 resource cap, 4 precision failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,16 +30,18 @@ from .errors import (CacheError, InvalidArgumentError, PrecisionError,
                      ResourceLimitError, ZetaDivError)
 from .error_terms import (E_atkinson, E_balasubramanian, E_grid, ZetaMeanSquare,
                           estar_scan, fit_log_cubic, moment_scan_from_samples,
-                          short_interval_ms)
+                          short_interval_ms, write_columns_csv)
 from .exppairs import (ExponentPair, is_process_reachable, parse_fraction,
                        report, search_optimal, write_frontier_csv)
-from .voronoi import voronoi_delta, voronoi_delta_star
+from .voronoi import (delta_series_target, delta_star_series_target, voronoi_delta,
+                      voronoi_delta_star)
 from .zeta import TWO_PI, z_function, zeta_em
 
 CACHE_ENV = "ZETADIV_CACHE_DIR"
 CACHE_FILENAME = "divisor_table.bin"
 
 EXIT_OK = 0
+EXIT_CRITERION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_PRECISION = 4
@@ -53,8 +55,8 @@ class RunManifest:
     config: dict
     version: str
     wall_time_s: float
-    fitted_constants: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)  # path -> sha256 of file bytes
+    fitted_constants: dict
+    outputs: dict  # path -> sha256 of file bytes
 
 
 def _sha256(path: str) -> str:
@@ -65,10 +67,12 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(manifest: RunManifest, out_path: str) -> None:
-    for p in list(manifest.outputs):
-        manifest.outputs[p] = _sha256(p)
-    with open(out_path + ".manifest.json", "w") as fh:
+def _write_manifest(args, t0: float, outputs, fitted_constants: dict, **config) -> None:
+    """Write ``<args.out>.manifest.json`` for the run started at t0 that wrote ``outputs``."""
+    manifest = RunManifest(args.command, {**_config_echo(args), **config}, __version__,
+                           time.time() - t0, fitted_constants=fitted_constants,
+                           outputs={p: _sha256(p) for p in outputs})
+    with open(args.out + ".manifest.json", "w") as fh:
         json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -118,14 +122,6 @@ def _float_grid(lo: float, hi: float, step: float | None, count: int | None,
     return lo + step * np.arange(n + 1)
 
 
-def _write_csv(path: str, header: str, columns) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -139,13 +135,9 @@ def cmd_delta_scan(args) -> int:
     table, cache_path, status = cache_table(int(math.ceil(args.max)), _cache_dir(args))
     ds = delta_grid(table, xs)
     if args.out:
-        _write_csv(args.out, "x,delta", (xs.tolist(), ds.tolist()))
-        mani = RunManifest("delta-scan", _config_echo(args), __version__,
-                           time.time() - t0,
-                           fitted_constants={"max_abs_delta": float(np.max(np.abs(ds)))},
-                           outputs={args.out: ""})
-        mani.config["cache_status"] = status
-        _write_manifest(mani, args.out)
+        write_columns_csv(args.out, "x,delta", (xs.tolist(), ds.tolist()))
+        _write_manifest(args, t0, [args.out], {"max_abs_delta": float(np.max(np.abs(ds)))},
+                        cache_status=status)
         print(f"wrote {xs.size} rows to {args.out} (cache: {status} at {cache_path})")
     else:
         for x, d in zip(xs, ds):
@@ -160,7 +152,6 @@ def cmd_voronoi(args) -> int:
     v = fn(table, args.x, args.n)
     print(f"x={v.x!r} N={v.N} terms={v.term_count} value={v.value!r}")
     if args.compare:
-        from .voronoi import delta_series_target, delta_star_series_target
         target = (delta_star_series_target if args.star else delta_series_target)(table, args.x)
         print(f"series_target={target!r} residual={abs(v.value - target)!r}")
     return EXIT_OK
@@ -172,7 +163,7 @@ def cmd_zeta_eval(args) -> int:
         print(f"t={args.t!r} |zeta(1/2+it)|={abs(z)!r} (Euler-Maclaurin route, t < 10)")
         return EXIT_OK
     s = z_function(args.t)
-    print(f"t={s.t!r} Z={s.Z!r} |zeta(1/2+it)|={abs(s.Z)!r} |zeta|^2={s.zeta_abs2!r}")
+    print(f"t={s.t!r} Z={s.Z!r} |zeta(1/2+it)|={abs(s.Z)!r} |zeta|^2={s.Z * s.Z!r}")
     return EXIT_OK
 
 
@@ -184,11 +175,8 @@ def cmd_e_scan(args) -> int:
     if err > args.tol:
         raise PrecisionError(f"quadrature error estimate {err:.3e} exceeds --tol {args.tol}")
     if args.out:
-        _write_csv(args.out, "t,E", (ts.tolist(), es.tolist()))
-        mani = RunManifest("e-scan", _config_echo(args), __version__, time.time() - t0,
-                           fitted_constants={"quadrature_error_estimate": err},
-                           outputs={args.out: ""})
-        _write_manifest(mani, args.out)
+        write_columns_csv(args.out, "t,E", (ts.tolist(), es.tolist()))
+        _write_manifest(args, t0, [args.out], {"quadrature_error_estimate": err})
         print(f"wrote {ts.size} rows to {args.out}")
     else:
         print(f"E({args.tmax!r}) = {es[-1]!r} (error estimate {err:.3e})")
@@ -213,32 +201,23 @@ def cmd_balasu(args) -> int:
 
 def cmd_estar_scan(args) -> int:
     t0 = time.time()
-    limit = int(4 * args.tmax / TWO_PI) + 2
-    table, _, _ = cache_table(limit, _cache_dir(args))
-    integ = ZetaMeanSquare(chunk=args.step)
-    scan = estar_scan(args.tmax, args.step, table=table, integrator=integ)
-    if not args.out:
-        raise InvalidArgumentError("estar-scan requires --out")
+    table, _, _ = cache_table(int(4 * args.tmax / TWO_PI) + 2, _cache_dir(args))
+    scan = estar_scan(args.tmax, args.step, table=table)
     scan.write_csv(args.out)
     summary = scan.summary()
     with open(args.out + ".summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    mani = RunManifest("estar-scan", _config_echo(args), __version__, time.time() - t0,
-                       fitted_constants={k: v for k, v in summary.items()
-                                         if k.startswith("moment")},
-                       outputs={args.out: "", args.out + ".summary.json": ""})
-    _write_manifest(mani, args.out)
+    _write_manifest(args, t0, [args.out, args.out + ".summary.json"],
+                    {k: v for k, v in summary.items() if k.startswith("moment")})
     print(f"wrote {scan.t.size} rows to {args.out}")
     return EXIT_OK
 
 
 def cmd_moments(args) -> int:
     t0 = time.time()
-    limit = int(4 * args.tmax / TWO_PI) + 2
-    table, _, _ = cache_table(limit, _cache_dir(args))
-    integ = ZetaMeanSquare(chunk=args.step)
-    scan = estar_scan(args.tmax, args.step, table=table, integrator=integ)
+    table, _, _ = cache_table(int(4 * args.tmax / TWO_PI) + 2, _cache_dir(args))
+    scan = estar_scan(args.tmax, args.step, table=table)
     results = moment_scan_from_samples(scan.t, scan.E_star, args.k)
     fitted = {}
     if args.k == 2 and len(results) >= 4:
@@ -249,10 +228,8 @@ def cmd_moments(args) -> int:
     rows = ([r.T for r in results], [r.integral for r in results],
             [r.normalizer for r in results], [r.ratio for r in results])
     if args.out:
-        _write_csv(args.out, header, rows)
-        mani = RunManifest("moments", _config_echo(args), __version__, time.time() - t0,
-                           fitted_constants=fitted, outputs={args.out: ""})
-        _write_manifest(mani, args.out)
+        write_columns_csv(args.out, header, rows)
+        _write_manifest(args, t0, [args.out], fitted)
         print(f"wrote {len(results)} checkpoints to {args.out}")
     else:
         print(header)
@@ -298,12 +275,8 @@ def cmd_exppair_search(args) -> int:
     print(f"explored {res.explored} distinct pairs; frontier size {len(res.frontier)}")
     if args.out:
         write_frontier_csv(res.frontier, args.out)
-        mani = RunManifest("exppair-search", _config_echo(args), __version__,
-                           time.time() - t0,
-                           fitted_constants={
-                               "best_" + args.objective: str(getattr(best, args.objective))},
-                           outputs={args.out: ""})
-        _write_manifest(mani, args.out)
+        _write_manifest(args, t0, [args.out],
+                        {"best_" + args.objective: str(getattr(best, args.objective))})
         print(f"wrote frontier to {args.out}")
     return EXIT_OK
 
@@ -323,7 +296,7 @@ def cmd_accept(args) -> int:
     all_ok = True
     for n in nums:
         all_ok = acceptance.run_criterion(n, **kwargs_by_num.get(n, {})) and all_ok
-    return EXIT_OK if all_ok else 1
+    return EXIT_OK if all_ok else EXIT_CRITERION_FAILED
 
 
 def _config_echo(args) -> dict:

@@ -22,9 +22,12 @@ term is floating point.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import os
 import struct
+import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,12 +245,10 @@ def delta_star_alternating(table: DivisorTable, x) -> float:
     """Alternating divisor remainder via (1/2)*sum_{n<=4x} (-1)^n d(n) - main term.
 
     Arithmetically identical to ``delta_star``; kept as an independent
-    route for cross-validation.
+    route for cross-validation.  A size-1 call of ``delta_star_grid``.
     """
     _check_star_range(table, x)
-    m = int(math.floor(4 * x))
-    alt = int(table.alt_prefix()[m]) if m >= 1 else 0
-    return 0.5 * alt - main_term(float(x))
+    return float(delta_star_grid(table, np.array([float(x)]))[0])
 
 
 def delta_star_grid(table: DivisorTable, xs: np.ndarray) -> np.ndarray:
@@ -269,16 +270,24 @@ def delta_star_grid(table: DivisorTable, xs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_table(table: DivisorTable, path) -> None:
-    """Write a table to its binary cache format (atomic via temp rename)."""
+    """Write a table to its binary cache format (atomic via temp rename).
+
+    The temp file has a unique name in the target's directory, so
+    concurrent writers never share it; it is removed if writing fails.
+    """
     payload = np.ascontiguousarray(table.values, dtype="<u4").tobytes()
     digest = hashlib.sha256(payload).digest()
     header = _CACHE_MAGIC + struct.pack("<IQ", _CACHE_VERSION, table.limit) + digest
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-    import os
-    os.replace(tmp, str(path))
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(header)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_table(path, *, limit: int | None = None) -> DivisorTable:

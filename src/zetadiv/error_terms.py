@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divisor import EULER_GAMMA, DivisorTable, delta_star, main_term, sieve_divisors
+from .divisor import (DivisorTable, delta_star, delta_star_grid, main_term,
+                      sieve_divisors)
 from .errors import (InvalidArgumentError, OutOfRangeError, PrecisionError,
                      PrecisionWarning, ResourceLimitError)
 from .zeta import TWO_PI, theta1, zeta_abs2_grid
@@ -38,16 +39,15 @@ from .zeta import TWO_PI, theta1, zeta_abs2_grid
 ATKINSON_A = 0.5
 ATKINSON_A_PRIME = 2.0
 
+#: Smallest panel width the refinement of a partial chunk may reach.
+H_FLOOR = 1e-5
 
-def E_main_term(T) -> float:
-    """Smooth part T*(log(T/(2 pi)) + 2*gamma - 1); 0 at T == 0."""
-    T_arr = np.asarray(T, dtype=float)
-    scalar = T_arr.ndim == 0
-    T_arr = np.atleast_1d(T_arr)
-    out = np.zeros_like(T_arr)
-    nz = T_arr > 0
-    out[nz] = T_arr[nz] * (np.log(T_arr[nz] / TWO_PI) + 2.0 * EULER_GAMMA - 1.0)
-    return float(out[0]) if scalar else out
+#: Largest Riemann-Siegel length K the O(K^2) Balasubramanian sum accepts.
+BALASU_K_CAP = 10**4
+_BALASU_BLOCK = 512
+
+#: First dyadic moment checkpoint is 2^MOMENT_J_MIN.
+MOMENT_J_MIN = 4
 
 
 # ---------------------------------------------------------------------------
@@ -66,39 +66,31 @@ def _panel_width_cap(t: float) -> float:
     return min(0.05, TWO_PI / (10.0 * math.log(t / TWO_PI)))
 
 
-def _simpson_chunk_block(f, a: float, m: int, n_chunks: int, chunk: float) -> np.ndarray:
-    """Composite Simpson on n_chunks consecutive chunks, m panels each.
+def _simpson(ys: np.ndarray, h: float, rows: int) -> np.ndarray:
+    """Composite Simpson on ``rows`` consecutive equal pieces of a sampled grid.
 
-    Returns the n_chunks individual chunk integrals.  One function call
-    evaluates the whole shared node grid.
+    ``ys`` holds rows * npan + 1 samples at spacing h (npan even), the
+    pieces sharing their end nodes.  Returns the rows individual integrals.
     """
-    npan = 2 * m
-    h = chunk / npan
-    total = n_chunks * npan
-    xs = a + h * np.arange(total + 1)
-    ys = f(xs)
+    npan = (ys.size - 1) // rows
     w = np.empty(npan + 1)
     w[0::2] = 2.0
     w[1::2] = 4.0
     w[0] = 1.0
     w[npan] = 1.0
-    blocks = np.empty((n_chunks, npan + 1))
-    ys2 = ys[:-1].reshape(n_chunks, npan)
-    blocks[:, :npan] = ys2
+    blocks = np.empty((rows, npan + 1))
+    blocks[:, :npan] = ys[:-1].reshape(rows, npan)
     blocks[:, npan] = ys[npan::npan]
     return (h / 3.0) * blocks.dot(w)
 
 
-def _simpson_single(f, a: float, b: float, m: int) -> float:
-    npan = 2 * m
-    xs = np.linspace(a, b, npan + 1)
-    ys = f(xs)
-    w = np.empty(npan + 1)
-    w[0::2] = 2.0
-    w[1::2] = 4.0
-    w[0] = 1.0
-    w[npan] = 1.0
-    return float((b - a) / (3.0 * npan) * np.dot(ys, w))
+def _simpson_pair(ys: np.ndarray, h: float, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coarse, fine) Simpson values from one set of samples at spacing h.
+
+    The coarse rule at spacing 2h uses every other sample, which are
+    exactly the coarse grid's nodes, so the integrand is evaluated once.
+    """
+    return _simpson(ys[::2], 2.0 * h, rows), _simpson(ys, h, rows)
 
 
 class ZetaMeanSquare:
@@ -112,23 +104,17 @@ class ZetaMeanSquare:
     ordered cumulative reduction); share only after it is built.
     """
 
-    def __init__(self, chunk: float = 0.25, panel_cap: float = 0.05,
-                 h_floor: float = 1e-5, integrand=zeta_abs2_grid):
+    def __init__(self, chunk: float = 0.25, panel_cap: float = 0.05):
         if chunk <= 0 or panel_cap <= 0:
             raise InvalidArgumentError("chunk and panel_cap must be positive")
         self.chunk = float(chunk)
         self.panel_cap = float(panel_cap)
-        self.h_floor = float(h_floor)
-        self._f = integrand
         self._cum = [0.0]          # cumulative integral at chunk boundaries
         self._err = [0.0]          # cumulative Richardson error estimate
 
     def _m_for(self, b: float) -> int:
         w = min(self.panel_cap, _panel_width_cap(b))
         return max(1, math.ceil(self.chunk / (2.0 * w)))
-
-    def _covered(self) -> float:
-        return (len(self._cum) - 1) * self.chunk
 
     def extend_to(self, T: float) -> None:
         """Ensure chunks cover [0, T]; batch-evaluates whole chunk groups."""
@@ -142,8 +128,10 @@ class ZetaMeanSquare:
             while k_end < need and k_end - k < 4096 and self._m_for((k_end + 1) * self.chunk) == m:
                 k_end += 1
             n_chunks = k_end - k
-            coarse = _simpson_chunk_block(self._f, a, m, n_chunks, self.chunk)
-            fine = _simpson_chunk_block(self._f, a, 2 * m, n_chunks, self.chunk)
+            # the fine rule has 4m panels per chunk, the coarse rule 2m
+            h = self.chunk / (4 * m)
+            ys = zeta_abs2_grid(a + h * np.arange(n_chunks * 4 * m + 1))
+            coarse, fine = _simpson_pair(ys, h, n_chunks)
             err = np.abs(fine - coarse) / 15.0
             for i in range(n_chunks):
                 self._cum.append(self._cum[-1] + float(fine[i]))
@@ -166,11 +154,12 @@ class ZetaMeanSquare:
         return base
 
     def _refined_partial(self, a: float, b: float, m: int) -> float:
-        coarse = _simpson_single(self._f, a, b, m)
-        fine = _simpson_single(self._f, a, b, 2 * m)
-        while abs(fine - coarse) / 15.0 > 1e-6 and (b - a) / (4 * m) > self.h_floor:
+        ys = zeta_abs2_grid(np.linspace(a, b, 4 * m + 1))
+        coarse, fine = (float(v[0]) for v in _simpson_pair(ys, (b - a) / (4 * m), 1))
+        while abs(fine - coarse) / 15.0 > 1e-6 and (b - a) / (4 * m) > H_FLOOR:
             m *= 2
-            coarse, fine = fine, _simpson_single(self._f, a, b, 2 * m)
+            ys = zeta_abs2_grid(np.linspace(a, b, 4 * m + 1))
+            coarse, fine = fine, float(_simpson(ys, (b - a) / (4 * m), 1)[0])
         return fine
 
     def error_estimate(self, T: float) -> float:
@@ -223,7 +212,7 @@ def E_direct(T: float, step: float | None = None, *, tol: float = 0.1,
         raise PrecisionError(
             f"quadrature error estimate {integ.error_estimate(T):.3e} "
             f"exceeds tol {tol} at T={T}")
-    return val - E_main_term(T)
+    return val - TWO_PI * main_term(T / TWO_PI)
 
 
 def E_grid(tmax: float, step: float = 0.25,
@@ -236,7 +225,7 @@ def E_grid(tmax: float, step: float = 0.25,
     if abs(integ.chunk - step) > 1e-12:
         raise InvalidArgumentError("integrator chunk must equal the grid step")
     ts = step * np.arange(n + 1)
-    return ts, integ.grid_values(n) - E_main_term(ts)
+    return ts, integ.grid_values(n) - TWO_PI * main_term(ts / TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -328,31 +317,32 @@ def E_atkinson(T: float, N: float | None = None, *, table: DivisorTable) -> Atki
 # Balasubramanian's explicit formula
 # ---------------------------------------------------------------------------
 
-def E_balasubramanian(T: float, *, k_cap: int = 10**4, block: int = 512) -> float:
+def E_balasubramanian(T: float) -> float:
     """E(T) by the double-sum formula over m, n <= K = sqrt(T/(2 pi)).
 
     First sum: sin(T log(n/m)) / (sqrt(mn) log(n/m)); second sum:
     sin(2 theta1 - T log(mn)) / (sqrt(mn) (log(T/(2 pi)) - log(mn)));
     both over m != n, doubled.  O(K^2) work, blocked to keep memory flat;
-    K above ``k_cap`` raises ResourceLimitError.  Remainder O(log^2 T).
+    K above ``BALASU_K_CAP`` raises ResourceLimitError.  Remainder O(log^2 T).
     """
     if T <= 0:
         raise InvalidArgumentError("E_balasubramanian needs T > 0")
     K = math.sqrt(T / TWO_PI)
-    if K > k_cap:
-        raise ResourceLimitError(f"K={K:.0f} exceeds cap {k_cap} (O(K^2) double sum)")
+    if K > BALASU_K_CAP:
+        raise ResourceLimitError(
+            f"K={K:.0f} exceeds cap {BALASU_K_CAP} (O(K^2) double sum)")
     kn = int(math.floor(K))
     if kn < 1:
         return 0.0
     n = np.arange(1, kn + 1, dtype=np.float64)
     logn = np.log(n)
     rsn = 1.0 / np.sqrt(n)
-    th1 = theta1(T).value
+    th1 = theta1(T)
     two_theta1_deriv = math.log(T / TWO_PI)
     s1 = 0.0
     s2 = 0.0
-    for lo in range(0, kn, block):
-        hi = min(lo + block, kn)
+    for lo in range(0, kn, _BALASU_BLOCK):
+        hi = min(lo + _BALASU_BLOCK, kn)
         dl = logn[lo:hi, None] - logn[None, :]
         np.fill_diagonal(dl[:, lo:hi], np.nan)  # mask m == n
         amp = rsn[lo:hi, None] * rsn[None, :]
@@ -391,6 +381,14 @@ def E_star(T: float, *, table: DivisorTable,
     return ErrorTermSample(t=float(T), E=e_val, delta_star_scaled=ds, E_star=e_val - ds)
 
 
+def write_columns_csv(path, header: str, columns) -> None:
+    """CSV of equal-length float columns, shortest round-trip formatting."""
+    cells = [map(repr, col) for col in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
 @dataclass(eq=False)
 class ScanResult:
     """A grid of error-term samples plus summary statistics.
@@ -406,12 +404,9 @@ class ScanResult:
     meta: dict = field(default_factory=dict)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,E,delta_star,E_star\n")
-            for i in range(self.t.size):
-                fh.write(f"{float(self.t[i])!r},{float(self.E[i])!r},"
-                         f"{float(self.delta_star_scaled[i])!r},"
-                         f"{float(self.E_star[i])!r}\n")
+        write_columns_csv(path, "t,E,delta_star,E_star",
+                          (self.t.tolist(), self.E.tolist(),
+                           self.delta_star_scaled.tolist(), self.E_star.tolist()))
 
     def summary(self) -> dict:
         out = dict(self.meta)
@@ -441,10 +436,8 @@ def estar_scan(tmax: float, step: float = 0.25, *,
     if 4 * tmax / TWO_PI > table.limit:
         raise OutOfRangeError("divisor table too small for delta*(tmax/(2 pi))")
     ts, e_vals = E_grid(tmax, step, integrator)
-    x = ts / TWO_PI
-    idx = np.floor(4.0 * x).astype(np.int64)
-    ds = TWO_PI * (0.5 * table.alt_prefix()[idx] - main_term(x))
-    ds[0] = 0.0
+    ds = np.zeros_like(ts)  # delta* is not defined at t = 0
+    ds[1:] = TWO_PI * delta_star_grid(table, ts[1:] / TWO_PI)
     return ScanResult(t=ts, E=e_vals, delta_star_scaled=ds, E_star=e_vals - ds,
                       meta={"tmax": float(tmax), "step": float(step)})
 
@@ -468,8 +461,7 @@ def _moment_normalizer(T: float, k: int) -> float:
     return T * T  # k == 5
 
 
-def moment_scan_from_samples(ts: np.ndarray, e_star: np.ndarray, k: int,
-                             j_min: int = 4) -> list[MomentResult]:
+def moment_scan_from_samples(ts: np.ndarray, e_star: np.ndarray, k: int) -> list[MomentResult]:
     """Cumulative trapezoid of |E*|^k reported at dyadic checkpoints 2^j."""
     if k not in (2, 4, 5):
         raise InvalidArgumentError("moment order k must be one of {2, 4, 5}")
@@ -484,7 +476,7 @@ def moment_scan_from_samples(ts: np.ndarray, e_star: np.ndarray, k: int,
     cum = np.concatenate([[0.0], np.cumsum((g[1:] + g[:-1]) * 0.5 * np.diff(ts))])
     tmax = float(ts[-1])
     out = []
-    j = j_min
+    j = MOMENT_J_MIN
     while 2.0 ** j <= tmax + 1e-9:
         T = 2.0 ** j
         idx = int(round(T / step))
@@ -574,11 +566,9 @@ def short_interval_ms(T: float, G: float, *, profile: str = "exp_bump") -> float
     w = min(0.05, _panel_width_cap(b))
     m = max(8, math.ceil((b - a) / (2.0 * w)))
 
-    def f(ts):
-        return smooth_window(ts, T, G, profile) * zeta_abs2_grid(ts)
-
-    coarse = _simpson_single(f, a, b, m)
-    fine = _simpson_single(f, a, b, 2 * m)
+    xs = np.linspace(a, b, 4 * m + 1)
+    ys = smooth_window(xs, T, G, profile) * zeta_abs2_grid(xs)
+    coarse, fine = (float(v[0]) for v in _simpson_pair(ys, (b - a) / (4 * m), 1))
     if abs(fine - coarse) > max(0.05, 1e-6 * abs(fine)):
         raise PrecisionError("short-interval quadrature failed to settle")
     return fine

@@ -25,6 +25,7 @@ Pareto frontier in (kappa, lambda).
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -136,6 +137,38 @@ def pareto_frontier(pairs) -> list[ExponentPair]:
     return front
 
 
+def _closure(seeds, max_depth: int) -> tuple[dict, list[list[ExponentPair]]]:
+    """Breadth-first A/B closure of the seeds, words up to max_depth long.
+
+    Returns the reached pairs keyed by exact (kappa, lambda), each stored
+    with the first word found (minimal length; seed order, A before B),
+    and the list of pairs first reached at each depth, ending at the
+    last nonempty one.
+    """
+    def rank(p: ExponentPair):
+        return (len(p.word), p.word)
+
+    seen: dict[tuple[Fraction, Fraction], ExponentPair] = {}
+    layer: list[ExponentPair] = []
+    for s in seeds:
+        if s.key() not in seen or rank(s) < rank(seen[s.key()]):
+            seen[s.key()] = s
+            layer.append(s)
+    layers = [layer]
+    for _depth in range(max_depth):
+        nxt: list[ExponentPair] = []
+        for p in layer:
+            for child in (apply_A(p), apply_B(p)):
+                if child.key() not in seen:
+                    seen[child.key()] = child
+                    nxt.append(child)
+        if not nxt:
+            break
+        layers.append(nxt)
+        layer = nxt
+    return seen, layers
+
+
 @dataclass
 class SearchResult:
     """Outcome of the exhaustive process-word search."""
@@ -168,38 +201,12 @@ def search_optimal(max_depth: int, objective: str = "theta_div", *,
     if max_depth > MAX_SEARCH_DEPTH:
         raise ResourceLimitError(
             f"max_depth {max_depth} exceeds cap {MAX_SEARCH_DEPTH}")
-    if seeds is None:
-        seeds = seed_pairs()
-
-    def rank(p: ExponentPair):
-        return (len(p.word), p.word)
-
-    seen: dict[tuple[Fraction, Fraction], ExponentPair] = {}
-    layer: list[ExponentPair] = []
-    for s in seeds:
-        if s.key() not in seen or rank(s) < rank(seen[s.key()]):
-            seen[s.key()] = s
-            layer.append(s)
-
-    best_by_depth: list[Fraction] = []
-    current_best = min(_objective_value(p, objective) for p in layer)
-    best_by_depth.append(current_best)
-    for _depth in range(1, max_depth + 1):
-        nxt: list[ExponentPair] = []
-        for p in layer:
-            for child in (apply_A(p), apply_B(p)):
-                k = child.key()
-                if k not in seen:
-                    seen[k] = child
-                    nxt.append(child)
-                    v = _objective_value(child, objective)
-                    if v < current_best:
-                        current_best = v
-        best_by_depth.append(current_best)
-        layer = nxt
-        if not layer:
-            best_by_depth.extend([current_best] * (max_depth - _depth))
-            break
+    seen, layers = _closure(seed_pairs() if seeds is None else seeds, max_depth)
+    best_by_depth = [min(_objective_value(p, objective) for p in layers[0])]
+    for layer in layers[1:]:
+        best_by_depth.append(min(best_by_depth[-1],
+                                 *(_objective_value(p, objective) for p in layer)))
+    best_by_depth += [best_by_depth[-1]] * (max_depth + 1 - len(best_by_depth))
 
     candidates = sorted(
         seen.values(),
@@ -209,7 +216,7 @@ def search_optimal(max_depth: int, objective: str = "theta_div", *,
         best=report(best_pair),
         frontier=pareto_frontier(seen.values()),
         explored=len(seen),
-        best_by_depth=best_by_depth[:max_depth + 1],
+        best_by_depth=best_by_depth,
         objective=objective,
     )
 
@@ -233,26 +240,10 @@ def parse_fraction(text: str) -> Fraction:
         raise InvalidArgumentError(f"not a rational literal: {text!r}") from exc
 
 
-_CLOSURE: set | None = None
-_CLOSURE_DEPTH = -1
-
-
-def _closure_cache(depth: int) -> set:
-    global _CLOSURE, _CLOSURE_DEPTH
-    if _CLOSURE is None or _CLOSURE_DEPTH < depth:
-        pairs = {s.key() for s in seed_pairs()}
-        layer = list(seed_pairs())
-        for _ in range(depth):
-            nxt = []
-            for p in layer:
-                for child in (apply_A(p), apply_B(p)):
-                    if child.key() not in pairs:
-                        pairs.add(child.key())
-                        nxt.append(child)
-            layer = nxt
-        _CLOSURE = pairs
-        _CLOSURE_DEPTH = depth
-    return _CLOSURE
+@functools.cache
+def _reachable(depth: int) -> frozenset:
+    """Exact keys of the seeds' closure to ``depth``, built once per depth."""
+    return frozenset(_closure(seed_pairs(), depth)[0])
 
 
 def is_process_reachable(kappa, lam, depth: int = 12) -> bool:
@@ -262,4 +253,4 @@ def is_process_reachable(kappa, lam, depth: int = 12) -> bool:
     explicit hypothetical opt-in (conjectural pairs such as (0, 1/2) are
     never in the closure).
     """
-    return (Fraction(kappa), Fraction(lam)) in _closure_cache(depth)
+    return (Fraction(kappa), Fraction(lam)) in _reachable(depth)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divisor import DivisorTable
+from .divisor import DivisorTable, delta, delta_star
 from .errors import InvalidArgumentError, OutOfRangeError
 
 _COEF = 1.0 / (math.pi * math.sqrt(2.0))
@@ -54,23 +54,21 @@ def _terms(table: DivisorTable, x: float, N: int, alternating: bool) -> np.ndarr
     return terms
 
 
-def _compensated_total(terms: np.ndarray) -> float:
+def _voronoi(table: DivisorTable, x: float, N: int, alternating: bool) -> VoronoiSum:
+    terms = _terms(table, float(x), N, alternating)
     # ascending n = descending magnitude envelope; fsum settles ordering doubts
-    return math.fsum(terms.tolist())
+    value = _COEF * float(x) ** 0.25 * math.fsum(terms.tolist())
+    return VoronoiSum(x=float(x), N=int(N), value=value, term_count=terms.size)
 
 
 def voronoi_delta(table: DivisorTable, x: float, N: int) -> VoronoiSum:
     """Truncated expansion of the divisor remainder delta(x)."""
-    terms = _terms(table, float(x), N, alternating=False)
-    value = _COEF * float(x) ** 0.25 * _compensated_total(terms)
-    return VoronoiSum(x=float(x), N=int(N), value=value, term_count=terms.size)
+    return _voronoi(table, x, N, alternating=False)
 
 
 def voronoi_delta_star(table: DivisorTable, x: float, N: int) -> VoronoiSum:
     """Truncated expansion of the alternating remainder delta*(x)."""
-    terms = _terms(table, float(x), N, alternating=True)
-    value = _COEF * float(x) ** 0.25 * _compensated_total(terms)
-    return VoronoiSum(x=float(x), N=int(N), value=value, term_count=terms.size)
+    return _voronoi(table, x, N, alternating=True)
 
 
 def delta_series_target(table: DivisorTable, x: float) -> float:
@@ -82,7 +80,6 @@ def delta_series_target(table: DivisorTable, x: float) -> float:
     truncated sum against this target keeps residual-decay measurements
     meaningful at integer abscissae.
     """
-    from .divisor import delta
     val = delta(table, x).delta
     if float(x) == math.floor(x):
         val -= 0.5 * float(table.values[int(x)])
@@ -96,7 +93,6 @@ def delta_star_series_target(table: DivisorTable, x: float) -> float:
     at those abscissae the series limit is the half-jump-adjusted
     delta*(x) - (-1)^m d(m)/4.
     """
-    from .divisor import delta_star
     val = delta_star(table, x)
     m4 = 4.0 * float(x)
     if m4 == math.floor(m4):

@@ -44,6 +44,7 @@ RS_CROSSOVER_T = 6000.0
 SCAN_RS_MIN_T = 200.0
 
 _EM_MAX_CORRECTION = 60
+_EM_ORDER = 12  # default number of Bernoulli corrections
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,31 @@ def _bernoulli_em_coeffs(kmax: int) -> np.ndarray:
 _EM_COEF = _bernoulli_em_coeffs(_EM_MAX_CORRECTION)
 
 
+def _em_terms(t_abs_max: float) -> int:
+    """Default cut N = max(24, ceil(1.3 |t|) + 24) of the direct sum."""
+    return max(24, math.ceil(1.3 * t_abs_max) + 24)
+
+
+def _em_sum(s: np.ndarray, N: int, K: int) -> np.ndarray:
+    """Euler-Maclaurin zeta over a 1-d array of s: direct sum to N - 1 plus K corrections."""
+    out = np.zeros(s.shape, dtype=complex)
+    logn = np.log(np.arange(1, N, dtype=np.float64))
+    for lo in range(0, s.size, 2048):
+        sl = slice(lo, min(lo + 2048, s.size))
+        out[sl] = np.exp(-np.multiply.outer(s[sl], logn)).sum(axis=1)
+    logN = math.log(N)
+    Nms = np.exp(-s * logN)  # N^{-s}
+    out += Nms * N / (s - 1) + 0.5 * Nms
+    rising = s.copy()               # s (s+1) ... (s+2k-2), starts at k=1
+    npow = Nms / N                  # N^{-s-2k+1}, starts at k=1
+    inv_n2 = 1.0 / (N * N)
+    for k in range(1, K + 1):
+        out += _EM_COEF[k] * rising * npow
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+        npow *= inv_n2
+    return out
+
+
 def zeta_em(s, terms: int | None = None, correction_order: int | None = None) -> complex:
     """zeta(s) by Euler-Maclaurin summation, s != 1.
 
@@ -85,32 +111,17 @@ def zeta_em(s, terms: int | None = None, correction_order: int | None = None) ->
     s = complex(s)
     if s == 1:
         raise InvalidArgumentError("zeta has a pole at s = 1")
-    t = abs(s.imag)
-    N = int(terms) if terms is not None else max(24, math.ceil(1.3 * t) + 24)
+    N = int(terms) if terms is not None else _em_terms(abs(s.imag))
     if N < 2:
         raise InvalidArgumentError("terms must be >= 2")
-    K = int(correction_order) if correction_order is not None else 12
+    K = int(correction_order) if correction_order is not None else _EM_ORDER
     if not 1 <= K <= _EM_MAX_CORRECTION:
         raise InvalidArgumentError(
             f"correction_order must be in [1, {_EM_MAX_CORRECTION}]")
-
-    n = np.arange(1, N, dtype=np.float64)
-    head = complex(np.sum(np.exp(-s * np.log(n))))
-    logN = math.log(N)
-    Nms = np.exp(-s * logN)  # N^{-s}
-    total = head + Nms * N / (s - 1) + 0.5 * Nms
-
-    rising = s                      # s (s+1) ... (s+2k-2), starts at k=1
-    npow = Nms / N                  # N^{-s-2k+1}, starts at k=1
-    inv_n2 = 1.0 / (N * N)
-    for k in range(1, K + 1):
-        total += _EM_COEF[k] * rising * npow
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-        npow *= inv_n2
-    return complex(total)
+    return complex(_em_sum(np.array([s]), N, K)[0])
 
 
-def _zeta_half_em_grid(ts: np.ndarray, correction_order: int = 12) -> np.ndarray:
+def _zeta_half_em_grid(ts: np.ndarray) -> np.ndarray:
     """Vectorised zeta(1/2+it) over a modest grid (Euler-Maclaurin).
 
     Cost is len(ts) * N with N ~ 1.3*max(t); intended for the t < 200
@@ -119,24 +130,8 @@ def _zeta_half_em_grid(ts: np.ndarray, correction_order: int = 12) -> np.ndarray
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         return np.zeros(0, dtype=complex)
-    N = max(24, math.ceil(1.3 * float(np.max(np.abs(ts)))) + 24)
-    s = 0.5 + 1j * ts
-    out = np.zeros(ts.shape, dtype=complex)
-    logn = np.log(np.arange(1, N, dtype=np.float64))
-    for lo in range(0, ts.size, 2048):
-        sl = slice(lo, min(lo + 2048, ts.size))
-        out[sl] = np.exp(-np.multiply.outer(s[sl], logn)).sum(axis=1)
-    logN = math.log(N)
-    Nms = np.exp(-s * logN)
-    out += Nms * N / (s - 1) + 0.5 * Nms
-    rising = s.copy()
-    npow = Nms / N
-    inv_n2 = 1.0 / (N * N)
-    for k in range(1, correction_order + 1):
-        out += _EM_COEF[k] * rising * npow
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-        npow *= inv_n2
-    return out
+    N = _em_terms(float(np.max(np.abs(ts))))
+    return _em_sum(0.5 + 1j * ts, N, _EM_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +197,11 @@ def convexity_exponent(sigma: float) -> float:
 # Phases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThetaPhase:
-    """The phase (T/2) log(T/(2 pi)) - T/2 - pi/8 at one abscissa."""
-
-    T: float
-    value: float
-
-
-def theta1(T: float) -> ThetaPhase:
+def theta1(T: float) -> float:
     """Leading phase theta1(T) = (T/2) log(T/(2 pi)) - T/2 - pi/8."""
     if T <= 0:
         raise InvalidArgumentError(f"theta1 requires T > 0, got {T}")
-    value = 0.5 * T * math.log(T / TWO_PI) - 0.5 * T - math.pi / 8.0
-    return ThetaPhase(T=float(T), value=value)
+    return 0.5 * T * math.log(T / TWO_PI) - 0.5 * T - math.pi / 8.0
 
 
 def theta1_deriv(T: float) -> float:
@@ -305,20 +291,18 @@ def rs_term_count(t) -> int:
     return int(math.floor(math.sqrt(float(t) / TWO_PI)))
 
 
-def rs_z_grid(ts, correction_terms: int = 2) -> np.ndarray:
+def rs_z_grid(ts) -> np.ndarray:
     """Hardy Z(t) on an array of t >= 2 pi via the Riemann-Siegel formula.
 
-    Main sum of floor(sqrt(t/2 pi)) cosines plus up to two correction
-    coefficients.  With both corrections the measured absolute error
-    against the Euler-Maclaurin oracle stays under ~0.06 * t^(-5/4).
+    Main sum of floor(sqrt(t/2 pi)) cosines plus the two correction
+    coefficients C0 and C1.  The measured absolute error against the
+    Euler-Maclaurin oracle stays under ~0.06 * t^(-5/4).
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         return np.zeros(0)
     if float(np.min(ts)) < TWO_PI:
         raise OutOfRangeError("rs_z_grid needs t >= 2 pi (empty main sum below)")
-    if correction_terms not in (0, 1, 2):
-        raise InvalidArgumentError("correction_terms must be 0, 1 or 2")
     tau = np.sqrt(ts / TWO_PI)
     kk = np.floor(tau).astype(np.int64)
     theta = np.asarray(rs_theta(ts), dtype=float)
@@ -331,30 +315,25 @@ def rs_z_grid(ts, correction_terms: int = 2) -> np.ndarray:
         for n in range(2, int(K) + 1):
             acc = acc + np.cos(th - t_sub * math.log(n)) / math.sqrt(n)
         z[idx] = 2.0 * acc
-    if correction_terms > 0:
-        p = tau - kk
-        q = np.power(TWO_PI / ts, 0.25)
-        corr = _psi_rs(p)
-        if correction_terms > 1:
-            corr = corr + _C1_SCALE * _PSI3(p) * np.sqrt(TWO_PI / ts)
-        parity = np.where(kk % 2 == 1, 1.0, -1.0)  # (-1)^(K-1)
-        z = z + parity * q * corr
-    return z
+    p = tau - kk
+    q = np.power(TWO_PI / ts, 0.25)
+    corr = _psi_rs(p) + _C1_SCALE * _PSI3(p) * np.sqrt(TWO_PI / ts)
+    parity = np.where(kk % 2 == 1, 1.0, -1.0)  # (-1)^(K-1)
+    return z + parity * q * corr
 
 
 @dataclass(frozen=True)
 class CriticalSample:
-    """Z(t) and |zeta(1/2+it)|^2 = Z(t)^2 at one abscissa."""
+    """Z(t) at one abscissa; |zeta(1/2+it)|^2 = Z * Z."""
 
     t: float
     Z: float
-    zeta_abs2: float
 
 
-def z_function(t: float, *, rs_min_t: float = RS_CROSSOVER_T) -> CriticalSample:
+def z_function(t: float) -> CriticalSample:
     """Hardy Z(t) with |zeta(1/2+it)| = |Z(t)|, for t >= 10.
 
-    Below ``rs_min_t`` the value comes from the Euler-Maclaurin route
+    Below ``RS_CROSSOVER_T`` the value comes from the Euler-Maclaurin route
     rotated by the exact phase (Z = e^{i theta(t)} zeta(1/2+it), real up
     to rounding); above it from the Riemann-Siegel expansion, whose
     C0+C1 truncation is past the 1e-6 level there and sharpens with t.
@@ -362,14 +341,14 @@ def z_function(t: float, *, rs_min_t: float = RS_CROSSOVER_T) -> CriticalSample:
     t = float(t)
     if t < 10.0:
         raise OutOfRangeError("z_function supports t >= 10; use zeta_em below")
-    if t < rs_min_t:
+    if t < RS_CROSSOVER_T:
         w = np.exp(1j * rs_theta(t)) * zeta_em(0.5 + 1j * t)
         if abs(w.imag) > 1e-6 * (1.0 + abs(w)):
             raise PrecisionError(f"Z(t) imaginary residue {w.imag:.3e} at t={t}")
         z = float(w.real)
     else:
         z = float(rs_z_grid(np.array([t]))[0])
-    return CriticalSample(t=t, Z=z, zeta_abs2=z * z)
+    return CriticalSample(t=t, Z=z)
 
 
 def zeta_abs2_grid(ts) -> np.ndarray:

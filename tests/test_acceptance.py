@@ -52,7 +52,8 @@ def test_criterion_6_subconvexity_witness():
     ok, detail = acceptance.criterion_6()
     print(f"[criterion 6] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, ("the running-max slope clause fails on honest data; "
-                "see notes/decisions.md -- " + detail)
+                "see the known-red paragraph under 'Install and test' in README.md -- "
+                + detail)
 
 
 def test_criterion_6_substance():

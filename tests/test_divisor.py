@@ -215,6 +215,19 @@ def test_cache_roundtrip(tmp_path):
         load_table(path, limit=10**6)
 
 
+def test_cache_save_ignores_stale_tmp_path(tmp_path):
+    # a leftover directory at the old fixed temp name must not break a
+    # write: each save goes through its own unique temp file
+    table = sieve_divisors(1000)
+    path = tmp_path / "tab.bin"
+    (tmp_path / "tab.bin.tmp").mkdir()
+    save_table(table, path)
+    loaded = load_table(path)
+    assert loaded.limit == table.limit
+    assert np.array_equal(loaded.values, table.values)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tab.bin", "tab.bin.tmp"]
+
+
 def test_cache_rejects_corruption(tmp_path):
     table = sieve_divisors(1000)
     path = tmp_path / "tab.bin"

@@ -3,18 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from zetadiv import (E_atkinson, E_balasubramanian, E_direct, E_grid, E_main_term,
-                     E_star, InvalidArgumentError, OutOfRangeError, PrecisionWarning,
-                     ResourceLimitError, empirical_exponent, estar_scan,
-                     fit_log_cubic, moment_scan, short_interval_ms, theta1)
+from zetadiv import (E_atkinson, E_balasubramanian, E_direct, E_grid, E_star,
+                     InvalidArgumentError, OutOfRangeError, PrecisionWarning,
+                     ResourceLimitError, ZetaMeanSquare, empirical_exponent,
+                     estar_scan, fit_log_cubic, moment_scan, short_interval_ms,
+                     theta1)
 from zetadiv.error_terms import (ATKINSON_A, ATKINSON_A_PRIME, atkinson_e,
                                  atkinson_f, atkinson_n_prime,
                                  moment_scan_from_samples, smooth_window)
 from zetadiv.zeta import TWO_PI
-
-
-def test_E_main_term_at_zero():
-    assert E_main_term(0.0) == 0.0
 
 
 def test_E_direct_vanishes_at_small_T(ms_integrator):
@@ -30,13 +27,40 @@ def test_E_direct_step_halving_agreement():
 
 def test_E_direct_additivity(ms_integrator):
     # [0, T2] equals [0, T1] plus an independently integrated [T1, T2]
-    from zetadiv.error_terms import _simpson_single
+    from zetadiv.error_terms import _simpson
     from zetadiv.zeta import zeta_abs2_grid
     t1, t2 = 150.0, 300.0
     i1 = ms_integrator.integral(t1)
     i2 = ms_integrator.integral(t2)
-    piece = _simpson_single(zeta_abs2_grid, t1, t2, 4096)
+    npan = 8192
+    piece = float(_simpson(zeta_abs2_grid(np.linspace(t1, t2, npan + 1)),
+                           (t2 - t1) / npan, 1)[0])
     assert abs((i2 - i1) - piece) < 0.01
+
+
+def test_shared_simpson_samples_match_separate_grids():
+    # extend_to takes its coarse Simpson sums from every other fine sample;
+    # two separate integrand evaluations must give the same bits, also
+    # across the Euler-Maclaurin / Riemann-Siegel seam at t = 200
+    from zetadiv.error_terms import _simpson
+    from zetadiv.zeta import SCAN_RS_MIN_T, zeta_abs2_grid
+    T = 300.0
+    assert T > SCAN_RS_MIN_T
+    ms = ZetaMeanSquare()
+    ms.extend_to(T)
+    n = round(T / ms.chunk)
+    m = ms._m_for(ms.chunk)
+    # one chunk group: every chunk of [0, T] shares the panel count m
+    assert all(ms._m_for((k + 1) * ms.chunk) == m for k in range(n))
+    h_c, h_f = ms.chunk / (2 * m), ms.chunk / (4 * m)
+    coarse = _simpson(zeta_abs2_grid(h_c * np.arange(n * 2 * m + 1)), h_c, n)
+    fine = _simpson(zeta_abs2_grid(h_f * np.arange(n * 4 * m + 1)), h_f, n)
+    cum, err = [0.0], [0.0]
+    for f, e in zip(fine.tolist(), (np.abs(fine - coarse) / 15.0).tolist()):
+        cum.append(cum[-1] + f)
+        err.append(err[-1] + e)
+    assert ms._cum == cum
+    assert ms._err == err
 
 
 def test_E_direct_validation(ms_integrator):
@@ -86,7 +110,7 @@ def test_atkinson_matches_direct(table_small, ms_integrator):
 def brute_force_balasubramanian(T: float) -> float:
     """Independent plain-Python double loop over the two sums."""
     K = int(math.sqrt(T / TWO_PI))
-    th1 = theta1(T).value
+    th1 = theta1(T)
     dlog = math.log(T / TWO_PI)
     s1 = s2 = 0.0
     for n in range(1, K + 1):

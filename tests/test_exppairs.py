@@ -168,6 +168,16 @@ def test_parse_fraction():
         parse_fraction("1/0")
 
 
+def test_reachability_agrees_with_search():
+    # the reachability gate and the word search walk the same closure
+    res = search_optimal(12)
+    assert all(is_process_reachable(p.kappa, p.lam) for p in res.frontier)
+    assert not is_process_reachable(Fraction(0), HALF)
+    # a shallower depth is its own closure, not the deeper one built above
+    deep = max(res.frontier, key=lambda p: len(p.word))
+    assert not is_process_reachable(deep.kappa, deep.lam, depth=len(deep.word) - 1)
+
+
 def test_reachability_gate():
     assert is_process_reachable(Fraction(11, 30), Fraction(16, 30))
     assert is_process_reachable(Fraction(1, 6), Fraction(2, 3))
