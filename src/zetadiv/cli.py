@@ -69,7 +69,8 @@ def _sha256(path: str) -> str:
 
 def _write_manifest(args, t0: float, outputs, fitted_constants: dict, **config) -> None:
     """Write ``<args.out>.manifest.json`` for the run started at t0 that wrote ``outputs``."""
-    manifest = RunManifest(args.command, {**_config_echo(args), **config}, __version__,
+    echo = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    manifest = RunManifest(args.command, {**echo, **config}, __version__,
                            time.time() - t0, fitted_constants=fitted_constants,
                            outputs={p: _sha256(p) for p in outputs})
     with open(args.out + ".manifest.json", "w") as fh:
@@ -91,17 +92,16 @@ def cache_table(limit: int, cache_dir: str) -> tuple[DivisorTable, str, str]:
     stderr; the checksum is always verified on load.
     """
     path = os.path.join(cache_dir, CACHE_FILENAME)
+    status = "built"
     if os.path.exists(path):
         try:
             return load_table(path, limit=limit), path, "hit"
         except CacheError as exc:
             print(f"warning: rebuilding divisor cache ({exc})", file=sys.stderr)
-            table = sieve_divisors(limit)
-            save_table(table, path)
-            return table, path, "rebuilt"
+            status = "rebuilt"
     table = sieve_divisors(limit)
     save_table(table, path)
-    return table, path, "built"
+    return table, path, status
 
 
 def _float_grid(lo: float, hi: float, step: float | None, count: int | None,
@@ -299,10 +299,6 @@ def cmd_accept(args) -> int:
     return EXIT_OK if all_ok else EXIT_CRITERION_FAILED
 
 
-def _config_echo(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -406,16 +402,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except PrecisionError as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except ZetaDivError as exc:
+    except ZetaDivError as exc:  # InvalidArgumentError and the rest: a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,8 +7,11 @@ pairs to pairs:
     A: (kappa, lambda) -> (kappa/(2 kappa + 2), (kappa + lambda + 1)/(2 kappa + 2))
     B: (kappa, lambda) -> (lambda - 1/2, kappa + 1/2)        (an involution)
 
-Every arithmetic operation in this module is exact (fractions.Fraction);
-floats appear only in display helpers.  The derived growth exponents are
+Every arithmetic operation in this module is exact.  The search runs on
+gcd-normalised integer triples (a, b, c) = c (kappa, lambda, 1), where
+A: (a, b, c) -> (a, a+b+c, 2a+2c) and B: (a, b, c) -> (2b-c, 2a+c, 2c);
+public values are fractions.Fraction, and floats serve only display and
+sort pre-keys whose ties exact values break.  The growth exponents are
 
     theta_div  = (kappa + lambda) / (2 + 2 kappa)   (divisor remainder / E(T)),
     theta_zeta = (kappa + lambda) / (4 + 4 kappa)   (critical-line zeta),
@@ -28,6 +31,8 @@ import csv
 import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
@@ -35,7 +40,7 @@ HALF = Fraction(1, 2)
 MAX_SEARCH_DEPTH = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExponentPair:
     """An exact exponent pair with the process word that produced it.
 
@@ -54,12 +59,11 @@ class ExponentPair:
         if not isinstance(self.kappa, Fraction) or not isinstance(self.lam, Fraction):
             object.__setattr__(self, "kappa", Fraction(self.kappa))
             object.__setattr__(self, "lam", Fraction(self.lam))
-        if not (0 <= self.kappa <= HALF <= self.lam <= 1):
+        k, lam = self.kappa, self.lam  # integer form of 0 <= k <= 1/2 <= lam <= 1
+        if not (0 <= 2 * k.numerator <= k.denominator
+                and lam.denominator <= 2 * lam.numerator <= 2 * lam.denominator):
             raise InvalidArgumentError(
                 f"({self.kappa}, {self.lam}) violates 0 <= kappa <= 1/2 <= lambda <= 1")
-
-    def key(self) -> tuple[Fraction, Fraction]:
-        return (self.kappa, self.lam)
 
     def __str__(self):
         w = self.word or "seed"
@@ -106,66 +110,66 @@ class ExponentReport:
 def report(p: ExponentPair) -> ExponentReport:
     """Exact growth exponents and improvement criteria for a pair."""
     s = p.kappa + p.lam
-    theta_div = s / (2 + 2 * p.kappa)
-    theta_zeta = s / (4 + 4 * p.kappa)
-    return ExponentReport(
-        pair=p,
-        theta_div=theta_div,
-        theta_zeta=theta_zeta,
-        beats_one_third=(3 * p.lam + p.kappa < 2),
-        nontrivial=(p.lam < 1),
-    )
+    return ExponentReport(pair=p, theta_div=s / (2 + 2 * p.kappa),
+                          theta_zeta=s / (4 + 4 * p.kappa),
+                          beats_one_third=(3 * p.lam + p.kappa < 2), nontrivial=(p.lam < 1))
 
 
 _OBJECTIVES = ("theta_div", "theta_zeta")
 
 
-def _objective_value(p: ExponentPair, objective: str) -> Fraction:
-    r = report(p)
-    return getattr(r, objective)
-
-
 def pareto_frontier(pairs) -> list[ExponentPair]:
     """Non-dominated pairs minimising (kappa, lambda) componentwise."""
-    items = sorted(pairs, key=lambda p: (p.kappa, p.lam, len(p.word), p.word))
     front: list[ExponentPair] = []
-    best_lam = None
-    for p in items:
-        if best_lam is None or p.lam < best_lam:
+    for p in sorted(pairs, key=lambda p: (float(p.kappa), p.kappa, float(p.lam), p.lam,
+                                          len(p.word), p.word)):
+        if not front or p.lam < front[-1].lam:
             front.append(p)
-            best_lam = p.lam
     return front
 
 
-def _closure(seeds, max_depth: int) -> tuple[dict, list[list[ExponentPair]]]:
-    """Breadth-first A/B closure of the seeds, words up to max_depth long.
+def _normalise(a: int, b: int, c: int) -> tuple[int, int, int]:
+    g = gcd(a, b, c)
+    return (a, b, c) if g == 1 else (a // g, b // g, c // g)
 
-    Returns the reached pairs keyed by exact (kappa, lambda), each stored
-    with the first word found (minimal length; seed order, A before B),
-    and the list of pairs first reached at each depth, ending at the
-    last nonempty one.
+
+def _triple(kappa, lam) -> tuple[int, int, int]:
+    """The triple (a, b, c), c > 0 and gcd 1, with (kappa, lambda) = (a/c, b/c)."""
+    kappa, lam = Fraction(kappa), Fraction(lam)
+    return _normalise(kappa.numerator * lam.denominator, lam.numerator * kappa.denominator,
+                      kappa.denominator * lam.denominator)
+
+
+def _children(a: int, b: int, c: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The A- and B-images of the triple (a, b, c), each normalised."""
+    return _normalise(a, a + b + c, 2 * (a + c)), _normalise(2 * b - c, 2 * a + c, 2 * c)
+
+
+def _closure(seeds, max_depth: int) -> tuple[dict, list[list[tuple]]]:
+    """Breadth-first A/B closure of the seeds on triples, words up to max_depth long.
+
+    Returns a dict from each reached triple to its entry (triple, first word
+    found, hypothetical flag of its seed) and the entries first reached at
+    each depth, ending at the last nonempty one.
     """
-    def rank(p: ExponentPair):
-        return (len(p.word), p.word)
-
-    seen: dict[tuple[Fraction, Fraction], ExponentPair] = {}
-    layer: list[ExponentPair] = []
+    seen: dict[tuple[int, int, int], tuple] = {}
+    layers: list[list[tuple]] = [[]]
     for s in seeds:
-        if s.key() not in seen or rank(s) < rank(seen[s.key()]):
-            seen[s.key()] = s
-            layer.append(s)
-    layers = [layer]
+        key = _triple(s.kappa, s.lam)
+        old = seen.get(key)
+        if old is None or (len(s.word), s.word) < (len(old[1]), old[1]):
+            seen[key] = entry = (key, s.word, s.hypothetical)
+            layers[0].append(entry)
     for _depth in range(max_depth):
-        nxt: list[ExponentPair] = []
-        for p in layer:
-            for child in (apply_A(p), apply_B(p)):
-                if child.key() not in seen:
-                    seen[child.key()] = child
-                    nxt.append(child)
+        nxt = []
+        for (a, b, c), word, hyp in layers[-1]:
+            for child, step in zip(_children(a, b, c), "AB"):
+                if child not in seen:
+                    seen[child] = entry = (child, word + step, hyp)
+                    nxt.append(entry)
         if not nxt:
             break
         layers.append(nxt)
-        layer = nxt
     return seen, layers
 
 
@@ -184,9 +188,9 @@ def search_optimal(max_depth: int, objective: str = "theta_div", *,
                    seeds=None) -> SearchResult:
     """Breadth-first search of all A/B words up to max_depth from the seeds.
 
-    Pairs are deduplicated by exact rational equality; BFS guarantees the
-    stored word is of minimal length (ties resolved by the fixed seed
-    order with A expanded before B, so runs are deterministic).  Among
+    Pairs are deduplicated exactly as gcd-normalised triples; BFS
+    guarantees the stored word is of minimal length (ties resolved by the
+    fixed seed order, A before B, so runs are deterministic).  Among
     equal objective values the returned minimiser takes the shortest,
     then lexicographically smallest word.  ``best_by_depth[d]`` is the
     exact objective minimum over everything reachable within depth d,
@@ -199,26 +203,30 @@ def search_optimal(max_depth: int, objective: str = "theta_div", *,
     if max_depth < 0:
         raise InvalidArgumentError("max_depth must be >= 0")
     if max_depth > MAX_SEARCH_DEPTH:
-        raise ResourceLimitError(
-            f"max_depth {max_depth} exceeds cap {MAX_SEARCH_DEPTH}")
+        raise ResourceLimitError(f"max_depth {max_depth} exceeds cap {MAX_SEARCH_DEPTH}")
     seen, layers = _closure(seed_pairs() if seeds is None else seeds, max_depth)
-    best_by_depth = [min(_objective_value(p, objective) for p in layers[0])]
-    for layer in layers[1:]:
-        best_by_depth.append(min(best_by_depth[-1],
-                                 *(_objective_value(p, objective) for p in layer)))
-    best_by_depth += [best_by_depth[-1]] * (max_depth + 1 - len(best_by_depth))
+    scale = 2 if objective == "theta_div" else 4
 
-    candidates = sorted(
-        seen.values(),
-        key=lambda p: (_objective_value(p, objective), len(p.word), p.word))
-    best_pair = candidates[0]
-    return SearchResult(
-        best=report(best_pair),
-        frontier=pareto_frontier(seen.values()),
-        explored=len(seen),
-        best_by_depth=best_by_depth,
-        objective=objective,
-    )
+    def theta(entry) -> Fraction:  # (kappa + lambda) / (scale (1 + kappa))
+        a, b, c = entry[0]
+        return Fraction(a + b, scale * (a + c))
+
+    def argmin(entries) -> int:
+        """Index of the entry least in (objective, len(word), word); floats pick candidates."""
+        approx = [(a + b) / (a + c) for (a, b, c), _, _ in entries]
+        least = min(approx)
+        return min((i for i, x in enumerate(approx) if x == least),
+                   key=lambda i: (theta(entries[i]), len(entries[i][1]), entries[i][1]))
+
+    best_by_depth = list(accumulate((theta(layer[argmin(layer)]) for layer in layers), min))
+    best_by_depth += [best_by_depth[-1]] * (max_depth + 1 - len(best_by_depth))
+    entries = list(seen.values())
+    best = argmin(entries)
+    pairs = [ExponentPair(Fraction(a, c), Fraction(b, c), word, hyp)
+             for (a, b, c), word, hyp in entries]
+    del seen, layers, entries  # freed first, so the frontier sort's keys do not raise the peak
+    return SearchResult(best=report(pairs[best]), frontier=pareto_frontier(pairs),
+                        explored=len(pairs), best_by_depth=best_by_depth, objective=objective)
 
 
 def write_frontier_csv(pairs, path) -> None:
@@ -228,8 +236,7 @@ def write_frontier_csv(pairs, path) -> None:
         w.writerow(["kappa", "lambda", "word", "theta_div", "theta_zeta"])
         for p in pairs:
             r = report(p)
-            w.writerow([str(p.kappa), str(p.lam), p.word,
-                        str(r.theta_div), str(r.theta_zeta)])
+            w.writerow([p.kappa, p.lam, p.word, r.theta_div, r.theta_zeta])
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -242,15 +249,15 @@ def parse_fraction(text: str) -> Fraction:
 
 @functools.cache
 def _reachable(depth: int) -> frozenset:
-    """Exact keys of the seeds' closure to ``depth``, built once per depth."""
+    """Triples of the seeds' closure to ``depth``, built once per depth."""
     return frozenset(_closure(seed_pairs(), depth)[0])
 
 
-def is_process_reachable(kappa, lam, depth: int = 12) -> bool:
+def is_process_reachable(kappa, lam, depth: int = MAX_SEARCH_DEPTH) -> bool:
     """Whether (kappa, lambda) lies in the depth-limited A/B closure of the seeds.
 
     Used by the CLI to decide when a hand-supplied pair needs the
     explicit hypothetical opt-in (conjectural pairs such as (0, 1/2) are
-    never in the closure).
+    never in the closure).  Depth 24 is about 393,000 triples, built once.
     """
-    return (Fraction(kappa), Fraction(lam)) in _reachable(depth)
+    return _triple(kappa, lam) in _reachable(depth)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zetadiv import ZetaMeanSquare, sieve_divisors
+from zetadiv import ZetaMeanSquare, acceptance, sieve_divisors
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +20,15 @@ def table_big():
 def ms_integrator():
     """Shared cumulative quadrature cache (default 0.25 chunks)."""
     return ZetaMeanSquare()
+
+
+@pytest.fixture(scope="session")
+def subconvexity_arrays():
+    """One criterion-6 scan (1,138,781 Z values on [10, 1e5]), read-only, shared."""
+    ts, run = acceptance.subconvexity_scan()
+    ts.flags.writeable = False
+    run.flags.writeable = False
+    return ts, run
 
 
 @pytest.fixture()

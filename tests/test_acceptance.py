@@ -48,7 +48,9 @@ def test_criterion_5_three_formula_consistency(table_small, ms_integrator):
     assert ok, detail
 
 
-def test_criterion_6_subconvexity_witness():
+def test_criterion_6_subconvexity_witness(monkeypatch, subconvexity_arrays):
+    # criterion_6 runs unchanged on the session's scan instead of building its own
+    monkeypatch.setattr(acceptance, "subconvexity_scan", lambda: subconvexity_arrays)
     ok, detail = acceptance.criterion_6()
     print(f"[criterion 6] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, ("the running-max slope clause fails on honest data; "
@@ -56,7 +58,7 @@ def test_criterion_6_subconvexity_witness():
                 + detail)
 
 
-def test_criterion_6_substance():
+def test_criterion_6_substance(subconvexity_arrays):
     """The claims behind criterion 6 that do hold at desk scale.
 
     The scaled sup |zeta(1/2+it)| t^(-1/6) is bounded by a few units and
@@ -64,7 +66,7 @@ def test_criterion_6_substance():
     the t^(1/6) envelope is not being outrun; the 0.02 top-decade proxy in
     the stated criterion is what fails.
     """
-    ts, run = acceptance.subconvexity_scan()
+    ts, run = subconvexity_arrays
     assert ts.size >= 10**4
     slopes = []
     for dlo, dhi in ((1e2, 1e3), (1e3, 1e4), (1e4, 1e5)):

@@ -31,6 +31,13 @@ def test_exppair_report_hypothetical_gate(capsys):
     assert "theta_div = 1/4" in out
 
 
+def test_exppair_report_accepts_deep_derivable_pair(capsys):
+    # word BAAAAAAAAAAAA: 13 processes from a seed pair, past the old depth-12 gate
+    rc, out, _ = run(capsys, "exppair-report", "--kappa", "1/131070", "--lambda", "65527/65535")
+    assert rc == 0
+    assert "pair=(1/131070, 65527/65535) hypothetical=False" in out
+
+
 def test_delta_scan_empty_range_usage_error(capsys, tmp_path):
     rc, _, err = run(capsys, "--cache-dir", str(tmp_path), "delta-scan", "--max", "0")
     assert rc == 2

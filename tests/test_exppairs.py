@@ -1,10 +1,15 @@
+import hashlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zetadiv import (ExponentPair, InvalidArgumentError, ResourceLimitError,
                      apply_A, apply_B, is_process_reachable, parse_fraction,
                      report, search_optimal, seed_pairs, write_frontier_csv)
+from zetadiv.exppairs import _children, _normalise, _triple
 
 HALF = Fraction(1, 2)
 STD = ExponentPair(HALF, HALF)
@@ -15,6 +20,15 @@ def random_valid_pair(rng) -> ExponentPair:
     a = int(rng.integers(0, q + 1))       # kappa = a/(2q) in [0, 1/2]
     b = int(rng.integers(0, q + 1))       # lambda = (q+b)/(2q) in [1/2, 1]
     return ExponentPair(Fraction(a, 2 * q), Fraction(q + b, 2 * q))
+
+
+kappas = st.fractions(0, HALF, max_denominator=10**4)
+lambdas = st.fractions(HALF, 1, max_denominator=10**4)
+
+
+def as_fractions(t):
+    a, b, c = t
+    return Fraction(a, c), Fraction(b, c)
 
 
 def test_seed_pairs_contents():
@@ -182,3 +196,62 @@ def test_reachability_gate():
     assert is_process_reachable(Fraction(11, 30), Fraction(16, 30))
     assert is_process_reachable(Fraction(1, 6), Fraction(2, 3))
     assert not is_process_reachable(Fraction(0), Fraction(1, 2))
+
+
+@given(kappas, lambdas)
+def test_triple_processes_match_fraction_processes(kappa, lam):
+    p = ExponentPair(kappa, lam)
+    t = _triple(kappa, lam)
+    assert as_fractions(t) == (kappa, lam)
+    ta, tb = _children(*t)
+    assert as_fractions(ta) == (apply_A(p).kappa, apply_A(p).lam)
+    assert as_fractions(tb) == (apply_B(p).kappa, apply_B(p).lam)
+    assert _children(*tb)[1] == t  # B is an involution
+    for child in (ta, tb):
+        k, lam_child = as_fractions(child)
+        assert 0 <= k <= HALF <= lam_child <= 1
+
+
+@given(kappas, lambdas, st.integers(1, 10**9))
+def test_triple_normalisation_is_canonical(kappa, lam, m):
+    a, b, c = t = _triple(kappa, lam)
+    assert c > 0 and gcd(a, b, c) == 1
+    assert _normalise(m * a, m * b, m * c) == t
+    assert _triple(Fraction(m * a, m * c), Fraction(m * b, m * c)) == t
+
+
+def test_search_depth16_golden(tmp_path):
+    res = search_optimal(16)
+    assert res.explored == 8363
+    best = res.best.pair
+    assert (best.kappa, best.lam, best.word) == (
+        Fraction(1731, 4492), Fraction(591, 1123), "ABAABABABAABAAAB")
+    assert res.best.theta_div == res.best_by_depth[-1] == Fraction(585, 1778)
+    out = tmp_path / "frontier.csv"
+    write_frontier_csv(res.frontier, out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest().startswith("c5e7f723a490fc8a")
+    # the other objective halves every value and picks the same pairs, so the same CSV
+    zeta = search_optimal(16, "theta_zeta")
+    assert zeta.best.pair == best and zeta.frontier == res.frontier
+    assert zeta.best_by_depth == [v / 2 for v in res.best_by_depth]
+
+
+def test_search_keeps_hypothetical_flag_of_each_seed():
+    lind = search_optimal(3, seeds=[ExponentPair(Fraction(0), HALF, hypothetical=True)])
+    assert lind.explored == 7
+    assert [(p.kappa, p.lam, p.word, p.hypothetical) for p in lind.frontier] == [
+        (Fraction(0), HALF, "", True)]
+    assert lind.best.pair.hypothetical
+    # children inherit the flag of the seed they descend from
+    res = search_optimal(3, seeds=[ExponentPair(Fraction(1, 5), Fraction(3, 5), hypothetical=True),
+                                   STD])
+    got = [(str(p.kappa), str(p.lam), p.word, p.hypothetical) for p in res.frontier]
+    assert got == [
+        ("0", "1", "B", False), ("1/54", "49/54", "AAA", True), ("1/46", "41/46", "BAA", True),
+        ("1/30", "13/15", "AAA", False), ("1/26", "11/13", "AA", True),
+        ("1/22", "9/11", "BA", True), ("1/14", "11/14", "AA", False), ("1/12", "3/4", "A", True),
+        ("1/10", "7/10", "B", True), ("1/6", "2/3", "A", False), ("1/5", "3/5", "", True),
+        ("1/4", "7/12", "AB", True), ("2/7", "4/7", "AAB", False), ("7/22", "6/11", "BAB", True),
+        ("9/26", "7/13", "AAB", True), ("1/2", "1/2", "", False)]
+    assert res.explored == 17
+    assert (res.best.pair.word, res.best.pair.hypothetical) == ("BAB", True)
