@@ -26,10 +26,10 @@ print(f"  |zeta(s) - chi(s) zeta(1-s)| = {abs(zeta_em(s) - chi_factor(s) * zeta_
 print("\nHardy Z(t) and the first two critical-line zeros:")
 for lo, hi in ((14.0, 14.2), (20.9, 21.1)):
     a, b = lo, hi
-    fa = z_function(a).Z
+    fa = z_function(a)
     for _ in range(40):
         mid = 0.5 * (a + b)
-        fm = z_function(mid).Z if mid >= 10 else fa
+        fm = z_function(mid) if mid >= 10 else fa
         if fa * fm <= 0:
             b = mid
         else:

@@ -106,12 +106,12 @@ def criterion_4() -> tuple[bool, str]:
     rng = np.random.default_rng(408)
     worst = 0.0
     for t in rng.uniform(10.0, 2000.0, 200):
-        zf = abs(z_function(float(t)).Z)
+        zf = abs(z_function(float(t)))
         oracle = abs(zeta_em(0.5 + 1j * float(t),
                              terms=math.ceil(1.75 * t) + 50, correction_order=20))
         worst = max(worst, abs(zf - oracle) / oracle)
-    sign_ok = (z_function(14.0).Z * z_function(14.2).Z < 0
-               and z_function(20.9).Z * z_function(21.1).Z < 0)
+    sign_ok = (z_function(14.0) * z_function(14.2) < 0
+               and z_function(20.9) * z_function(21.1) < 0)
     worst_chi = 0.0
     for _ in range(20):
         s = complex(rng.uniform(-0.5, 1.5), rng.uniform(1.0, 60.0))

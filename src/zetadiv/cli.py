@@ -162,8 +162,8 @@ def cmd_zeta_eval(args) -> int:
         z = zeta_em(0.5 + 1j * args.t)
         print(f"t={args.t!r} |zeta(1/2+it)|={abs(z)!r} (Euler-Maclaurin route, t < 10)")
         return EXIT_OK
-    s = z_function(args.t)
-    print(f"t={s.t!r} Z={s.Z!r} |zeta(1/2+it)|={abs(s.Z)!r} |zeta|^2={s.Z * s.Z!r}")
+    z = z_function(args.t)
+    print(f"t={args.t!r} Z={z!r} |zeta(1/2+it)|={abs(z)!r} |zeta|^2={z * z!r}")
     return EXIT_OK
 
 

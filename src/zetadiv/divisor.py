@@ -44,10 +44,7 @@ EULER_GAMMA = 0.5772156649015329
 #: via ``sieve_divisors(..., max_limit=...)`` if you have the memory.
 MAX_SIEVE_LIMIT = 2**28
 
-#: Limits above this are sieved in fixed-length segments.
-SEGMENTED_THRESHOLD = 10**8
-
-#: Default segment length for the segmented sieve.
+#: Default segment length of the sieve passes.
 DEFAULT_SEGMENT = 2**22
 
 _CACHE_MAGIC = b"ZDTABLE1"
@@ -84,17 +81,17 @@ class DivisorTable:
         return self._alt_prefix
 
 
-def sieve_divisors(limit: int, *, segment_size: int | None = None,
+def sieve_divisors(limit: int, *, segment_size: int = DEFAULT_SEGMENT,
                    max_limit: int = MAX_SIEVE_LIMIT) -> DivisorTable:
     """Sieve d(n) for 1 <= n <= limit.
 
     Uses the divisor-pairing pass: every d <= sqrt(limit) contributes +1
     at n = d*d and +2 at larger multiples of d (the pair (d, n/d)).  Only
-    sqrt(limit) strided passes are needed, all vectorised.  For limits
-    above ``SEGMENTED_THRESHOLD`` the passes run per fixed-length segment
-    so the write working set stays bounded; the output array itself is
-    still allocated in full (uint32, 4 bytes per entry - document your
-    memory budget accordingly).
+    sqrt(limit) strided passes are needed, all vectorised.  The passes run
+    per fixed-length segment (one segment up to ``DEFAULT_SEGMENT``) so the
+    write working set stays bounded; the output array itself is still
+    allocated in full (uint32, 4 bytes per entry - document your memory
+    budget accordingly).
     """
     limit = int(limit)
     if limit < 1:
@@ -103,8 +100,6 @@ def sieve_divisors(limit: int, *, segment_size: int | None = None,
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds cap {max_limit} "
             f"(~{4 * (max_limit + 1) / 2**30:.1f} GiB of table)")
-    if segment_size is None:
-        segment_size = DEFAULT_SEGMENT if limit > SEGMENTED_THRESHOLD else limit + 1
     if segment_size < 1:
         raise InvalidArgumentError("segment_size must be >= 1")
 

@@ -104,17 +104,15 @@ class ZetaMeanSquare:
     ordered cumulative reduction); share only after it is built.
     """
 
-    def __init__(self, chunk: float = 0.25, panel_cap: float = 0.05):
-        if chunk <= 0 or panel_cap <= 0:
-            raise InvalidArgumentError("chunk and panel_cap must be positive")
+    def __init__(self, chunk: float = 0.25):
+        if chunk <= 0:
+            raise InvalidArgumentError("chunk must be positive")
         self.chunk = float(chunk)
-        self.panel_cap = float(panel_cap)
         self._cum = [0.0]          # cumulative integral at chunk boundaries
         self._err = [0.0]          # cumulative Richardson error estimate
 
     def _m_for(self, b: float) -> int:
-        w = min(self.panel_cap, _panel_width_cap(b))
-        return max(1, math.ceil(self.chunk / (2.0 * w)))
+        return max(1, math.ceil(self.chunk / (2.0 * _panel_width_cap(b))))
 
     def extend_to(self, T: float) -> None:
         """Ensure chunks cover [0, T]; batch-evaluates whole chunk groups."""
@@ -185,15 +183,14 @@ def default_integrator() -> ZetaMeanSquare:
     return _default_ms
 
 
-def E_direct(T: float, step: float | None = None, *, tol: float = 0.1,
+def E_direct(T: float, *, tol: float = 0.1,
              integrator: ZetaMeanSquare | None = None) -> float:
     """E(T) by direct quadrature of Z(t)^2.
 
-    ``step`` overrides the initial panel width (refinement below it is
-    still automatic); the cached cumulative error at T must come in
-    under ``tol`` or a PrecisionError is raised.  Passing an explicit
-    ``integrator`` shares panel work across calls and makes the integral
-    extension T1 -> T2 incremental.
+    The cached cumulative error at T must come in under ``tol`` or a
+    PrecisionError is raised.  Passing an explicit ``integrator`` shares
+    panel work across calls and makes the integral extension T1 -> T2
+    incremental.
     """
     if T < 0:
         raise InvalidArgumentError("E_direct needs T >= 0")
@@ -201,12 +198,7 @@ def E_direct(T: float, step: float | None = None, *, tol: float = 0.1,
         return 0.0
     if tol <= 0:
         raise PrecisionError("tolerance must be positive")
-    if step is not None:
-        if step <= 0:
-            raise InvalidArgumentError("step must be positive")
-        integ = ZetaMeanSquare(panel_cap=min(step, 0.05))
-    else:
-        integ = integrator if integrator is not None else default_integrator()
+    integ = integrator if integrator is not None else default_integrator()
     val = integ.integral(T)
     if integ.error_estimate(T) > tol:
         raise PrecisionError(
@@ -563,8 +555,7 @@ def short_interval_ms(T: float, G: float, *, profile: str = "exp_bump") -> float
     if not 2.0 <= G <= T / 2.0:
         raise InvalidArgumentError(f"G={G} outside the admissible window [2, T/2] at T={T}")
     a, b = T - 2.0 * G, T + 2.0 * G
-    w = min(0.05, _panel_width_cap(b))
-    m = max(8, math.ceil((b - a) / (2.0 * w)))
+    m = max(8, math.ceil((b - a) / (2.0 * _panel_width_cap(b))))
 
     xs = np.linspace(a, b, 4 * m + 1)
     ys = smooth_window(xs, T, G, profile) * zeta_abs2_grid(xs)

@@ -22,13 +22,14 @@ with lambda < 1 beats the convexity exponent 1/4 for zeta.
 
 ``search_optimal`` enumerates all process words over {A, B} from the seed
 pairs, deduplicates exactly, and reports the objective minimiser plus the
-Pareto frontier in (kappa, lambda).
+Pareto frontier in (kappa, lambda).  ``is_process_reachable`` decides
+whether the processes derive a given pair from the seeds, at any depth,
+by walking back from the pair to a seed one process at a time.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
@@ -153,13 +154,12 @@ def _closure(seeds, max_depth: int) -> tuple[dict, list[list[tuple]]]:
     each depth, ending at the last nonempty one.
     """
     seen: dict[tuple[int, int, int], tuple] = {}
-    layers: list[list[tuple]] = [[]]
-    for s in seeds:
+    for s in seeds:  # a repeated seed keeps its least (len(word), word) entry
         key = _triple(s.kappa, s.lam)
         old = seen.get(key)
         if old is None or (len(s.word), s.word) < (len(old[1]), old[1]):
-            seen[key] = entry = (key, s.word, s.hypothetical)
-            layers[0].append(entry)
+            seen[key] = (key, s.word, s.hypothetical)
+    layers: list[list[tuple]] = [list(seen.values())]
     for _depth in range(max_depth):
         nxt = []
         for (a, b, c), word, hyp in layers[-1]:
@@ -247,17 +247,39 @@ def parse_fraction(text: str) -> Fraction:
         raise InvalidArgumentError(f"not a rational literal: {text!r}") from exc
 
 
-@functools.cache
-def _reachable(depth: int) -> frozenset:
-    """Triples of the seeds' closure to ``depth``, built once per depth."""
-    return frozenset(_closure(seed_pairs(), depth)[0])
+def _word_from_seed(p: tuple[int, int, int]) -> str | None:
+    """The process word that takes a seed pair to the triple p, or None."""
+    # Walk back one process at a time: up to scale, p = A(q) for
+    # q = (2a, 2b-c, c-2a) and p = B(A(q)) for q = (2b-c, 2a, 2c-2b), when q
+    # is a valid pair.  Uniqueness: both are valid only at (1/6, 2/3), a seed,
+    # so the walk never branches.  Termination: c never increases; it strictly
+    # decreases unless kappa = 0 (then 1 - lambda doubles each step) or
+    # lambda = 1/2 (then the next step has kappa = 0).  So the walk needs
+    # neither a visited set nor a step cap.
+    seeds = {_triple(s.kappa, s.lam) for s in seed_pairs()}
+
+    def valid(a, b, c):  # 0 <= kappa <= 1/2 <= lambda <= 1
+        return 0 <= 2 * a <= c <= 2 * b <= 2 * c
+
+    word = ""
+    while p not in seeds:
+        if _children(*p)[1] in seeds:
+            return "B" + word
+        a, b, c = p
+        undo_a, undo_ab = (2 * a, 2 * b - c, c - 2 * a), (2 * b - c, 2 * a, 2 * c - 2 * b)
+        if valid(*undo_a):
+            p, word = _normalise(*undo_a), "A" + word
+        elif valid(*undo_ab):
+            p, word = _normalise(*undo_ab), "AB" + word
+        else:
+            return None
+    return word
 
 
-def is_process_reachable(kappa, lam, depth: int = MAX_SEARCH_DEPTH) -> bool:
-    """Whether (kappa, lambda) lies in the depth-limited A/B closure of the seeds.
+def is_process_reachable(kappa, lam) -> bool:
+    """Whether A/B processes derive (kappa, lambda) from the seed pairs, at any depth.
 
-    Used by the CLI to decide when a hand-supplied pair needs the
-    explicit hypothetical opt-in (conjectural pairs such as (0, 1/2) are
-    never in the closure).  Depth 24 is about 393,000 triples, built once.
+    The CLI asks this before it reports a hand-supplied pair without the
+    hypothetical opt-in.  The walk back to a seed takes one step per process.
     """
-    return _triple(kappa, lam) in _reachable(depth)
+    return _word_from_seed(_triple(kappa, lam)) is not None

@@ -22,7 +22,6 @@ chi(s) * zeta(1-s), its Stirling approximation, the phase theta1(T) =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -322,15 +321,7 @@ def rs_z_grid(ts) -> np.ndarray:
     return z + parity * q * corr
 
 
-@dataclass(frozen=True)
-class CriticalSample:
-    """Z(t) at one abscissa; |zeta(1/2+it)|^2 = Z * Z."""
-
-    t: float
-    Z: float
-
-
-def z_function(t: float) -> CriticalSample:
+def z_function(t: float) -> float:
     """Hardy Z(t) with |zeta(1/2+it)| = |Z(t)|, for t >= 10.
 
     Below ``RS_CROSSOVER_T`` the value comes from the Euler-Maclaurin route
@@ -345,10 +336,8 @@ def z_function(t: float) -> CriticalSample:
         w = np.exp(1j * rs_theta(t)) * zeta_em(0.5 + 1j * t)
         if abs(w.imag) > 1e-6 * (1.0 + abs(w)):
             raise PrecisionError(f"Z(t) imaginary residue {w.imag:.3e} at t={t}")
-        z = float(w.real)
-    else:
-        z = float(rs_z_grid(np.array([t]))[0])
-    return CriticalSample(t=t, Z=z)
+        return float(w.real)
+    return float(rs_z_grid(np.array([t]))[0])
 
 
 def zeta_abs2_grid(ts) -> np.ndarray:

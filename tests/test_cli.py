@@ -32,10 +32,13 @@ def test_exppair_report_hypothetical_gate(capsys):
 
 
 def test_exppair_report_accepts_deep_derivable_pair(capsys):
-    # word BAAAAAAAAAAAA: 13 processes from a seed pair, past the old depth-12 gate
-    rc, out, _ = run(capsys, "exppair-report", "--kappa", "1/131070", "--lambda", "65527/65535")
-    assert rc == 0
-    assert "pair=(1/131070, 65527/65535) hypothetical=False" in out
+    # word BAAAAAAAAAAAA: 13 processes from a seed pair, past the old depth-12 gate;
+    # then A applied 30 times to (11/30, 16/30), past any depth the search can reach
+    for kappa, lam in (("1/131070", "65527/65535"),
+                       ("11/55834574826", "27917287241/27917287413")):
+        rc, out, _ = run(capsys, "exppair-report", "--kappa", kappa, "--lambda", lam)
+        assert rc == 0
+        assert f"pair=({kappa}, {lam}) hypothetical=False" in out
 
 
 def test_delta_scan_empty_range_usage_error(capsys, tmp_path):
@@ -76,6 +79,19 @@ def test_zeta_eval_small_t_routes_to_em(capsys):
     rc, out, _ = run(capsys, "zeta-eval", "--t", "2")
     assert rc == 0
     assert "Euler-Maclaurin route" in out
+
+
+@pytest.mark.parametrize("t, line", [
+    ("100", "t=100.0 Z=2.69269705666442 |zeta(1/2+it)|=2.69269705666442 "
+            "|zeta|^2=7.250617438969232"),
+    ("7000", "t=7000.0 Z=3.08003807483481 |zeta(1/2+it)|=3.08003807483481 "
+             "|zeta|^2=9.486634542432123"),
+])
+def test_zeta_eval_golden(capsys, t, line):
+    # one point on each side of the Euler-Maclaurin / Riemann-Siegel crossover
+    rc, out, _ = run(capsys, "zeta-eval", "--t", t)
+    assert rc == 0
+    assert out == line + "\n"
 
 
 def test_cache_build_hit_and_corruption(capsys, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zetadiv import (EULER_GAMMA, CacheError, InvalidArgumentError, OutOfRangeError,
                      ResourceLimitError, delta, delta_star, delta_star_alternating,
@@ -74,6 +76,13 @@ def test_segmented_matches_plain():
     plain = sieve_divisors(10**5)
     seg = sieve_divisors(10**5, segment_size=999)
     assert np.array_equal(plain.values, seg.values)
+
+
+@given(st.integers(1, 5000), st.integers(1, 6000))
+def test_segmented_matches_single_segment(limit, segment_size):
+    one = sieve_divisors(limit, segment_size=limit + 1)
+    seg = sieve_divisors(limit, segment_size=segment_size)
+    assert np.array_equal(one.values, seg.values)
 
 
 def test_table_values_read_only(table_small):

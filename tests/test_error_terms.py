@@ -19,10 +19,21 @@ def test_E_direct_vanishes_at_small_T(ms_integrator):
     assert abs(E_direct(0.001, integrator=ms_integrator)) < 0.05
 
 
-def test_E_direct_step_halving_agreement():
-    a = E_direct(100.0, step=0.05)
-    b = E_direct(100.0, step=0.025)
-    assert abs(a - b) <= 0.1
+def test_E_direct_step_halving_agreement(ms_integrator):
+    # independent Simpson sums at step 0.05 and 0.025 agree with each other
+    # and with the cached E_direct(100)
+    from zetadiv.error_terms import _simpson, main_term
+    from zetadiv.zeta import zeta_abs2_grid
+    t = 100.0
+    e = E_direct(t, integrator=ms_integrator)
+    vals = []
+    for step in (0.05, 0.025):
+        npan = int(round(t / step))
+        integral = float(_simpson(zeta_abs2_grid(np.linspace(0.0, t, npan + 1)),
+                                  step, 1)[0])
+        vals.append(integral - TWO_PI * main_term(t / TWO_PI))
+    assert abs(vals[0] - vals[1]) <= 0.1
+    assert abs(e - vals[1]) <= 0.1
 
 
 def test_E_direct_additivity(ms_integrator):
@@ -66,8 +77,6 @@ def test_shared_simpson_samples_match_separate_grids():
 def test_E_direct_validation(ms_integrator):
     with pytest.raises(InvalidArgumentError):
         E_direct(-1.0)
-    with pytest.raises(InvalidArgumentError):
-        E_direct(10.0, step=-0.5)
 
 
 def test_atkinson_amplitude_near_one():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from zetadiv import (ExponentPair, InvalidArgumentError, ResourceLimitError,
                      apply_A, apply_B, is_process_reachable, parse_fraction,
                      report, search_optimal, seed_pairs, write_frontier_csv)
-from zetadiv.exppairs import _children, _normalise, _triple
+from zetadiv.exppairs import _children, _normalise, _triple, _word_from_seed
 
 HALF = Fraction(1, 2)
 STD = ExponentPair(HALF, HALF)
@@ -183,19 +183,29 @@ def test_parse_fraction():
 
 
 def test_reachability_agrees_with_search():
-    # the reachability gate and the word search walk the same closure
-    res = search_optimal(12)
-    assert all(is_process_reachable(p.kappa, p.lam) for p in res.frontier)
+    # the backward walk returns exactly the word the breadth-first search stores
+    for p in search_optimal(14).frontier:
+        assert _word_from_seed(_triple(p.kappa, p.lam)) == p.word
+        assert is_process_reachable(p.kappa, p.lam)
     assert not is_process_reachable(Fraction(0), HALF)
-    # a shallower depth is its own closure, not the deeper one built above
-    deep = max(res.frontier, key=lambda p: len(p.word))
-    assert not is_process_reachable(deep.kappa, deep.lam, depth=len(deep.word) - 1)
 
 
 def test_reachability_gate():
     assert is_process_reachable(Fraction(11, 30), Fraction(16, 30))
     assert is_process_reachable(Fraction(1, 6), Fraction(2, 3))
     assert not is_process_reachable(Fraction(0), Fraction(1, 2))
+    # kappa = 0: each step back doubles 1 - lambda, here for 200 steps
+    assert not is_process_reachable(Fraction(0), 1 - Fraction(1, 2**200))
+    # a pair outside 0 <= kappa <= 1/2 <= lambda <= 1 is never derived
+    assert not is_process_reachable(Fraction(3, 5), Fraction(2, 3))
+
+
+@given(st.sampled_from(seed_pairs()), st.text("AB", max_size=40))
+def test_walk_back_accepts_every_derived_pair(seed, word):
+    p = seed
+    for step in word:
+        p = apply_A(p) if step == "A" else apply_B(p)
+    assert is_process_reachable(p.kappa, p.lam)
 
 
 @given(kappas, lambdas)
@@ -255,3 +265,11 @@ def test_search_keeps_hypothetical_flag_of_each_seed():
         ("9/26", "7/13", "AAB", True), ("1/2", "1/2", "", False)]
     assert res.explored == 17
     assert (res.best.pair.word, res.best.pair.hypothetical) == ("BAB", True)
+
+
+def test_repeated_seed_expands_its_stored_word():
+    # the copy with the least (len(word), word) is stored and is the one expanded
+    single = search_optimal(2, seeds=[STD])
+    dup = search_optimal(2, seeds=[ExponentPair(HALF, HALF, word="X"), STD])
+    assert sorted(p.word for p in dup.frontier) == ["", "A", "AA", "B"]
+    assert dup.frontier == single.frontier and dup.explored == single.explored

@@ -178,7 +178,7 @@ def test_z_real_phase_rotation(rng):
 def test_z_function_matches_em_oracle(rng):
     for t in rng.uniform(10, 2000, 40):
         zf = z_function(float(t))
-        assert abs(abs(zf.Z) - abs(em_z(float(t)))) <= 1e-6 * max(1.0, abs(zf.Z))
+        assert abs(abs(zf) - abs(em_z(float(t)))) <= 1e-6 * max(1.0, abs(zf))
 
 
 def test_z_function_domain():
@@ -188,8 +188,8 @@ def test_z_function_domain():
 
 def test_first_two_zero_brackets():
     # sign changes bracketing the first two critical-line zeros
-    assert z_function(14.0).Z * z_function(14.2).Z < 0
-    assert z_function(20.9).Z * z_function(21.1).Z < 0
+    assert z_function(14.0) * z_function(14.2) < 0
+    assert z_function(20.9) * z_function(21.1) < 0
     # bisect with the independent oracle to locate them
     for lo, hi, known in ((14.0, 14.2, 14.134725), (20.9, 21.1, 21.022040)):
         a, b = lo, hi
@@ -220,8 +220,8 @@ def test_rs_strict_agreement_above_crossover():
     for t in (8000.0, 12000.0, 20000.0):
         assert t > RS_CROSSOVER_T
         zf = z_function(t)  # RS route above the crossover
-        err = abs(abs(zf.Z) - abs(em_z(t)))
-        assert err <= 1e-6 * max(1.0, abs(zf.Z)), (t, err)
+        err = abs(abs(zf) - abs(em_z(t)))
+        assert err <= 1e-6 * max(1.0, abs(zf)), (t, err)
 
 
 def test_rs_z_grid_validation():
