@@ -180,14 +180,13 @@ def criterion_7(table: DivisorTable | None = None,
     scan = estar_scan(tmax, 0.25, table=table)
     ok = True
     details = []
-    for k in (2, 4, 5):
-        res = moment_scan_from_samples(scan.t, scan.E_star, k)
+    moments = {k: moment_scan_from_samples(scan.t, scan.E_star, k) for k in (2, 4, 5)}
+    for k, res in moments.items():
         ratios = [r.ratio for r in res[-4:]]
         spread = max(ratios) / min(ratios)
         ok = ok and spread <= 10.0
         details.append(f"k={k} top-4 spread {spread:.2f}")
-    res2 = moment_scan_from_samples(scan.t, scan.E_star, 2)
-    _, rel = fit_log_cubic(res2)
+    _, rel = fit_log_cubic(moments[2])
     cubic_worst = float(np.max(rel[-4:]))
     ok = ok and cubic_worst <= 0.10
     details.append(f"cubic fit top-4 residual {100 * cubic_worst:.2f}%")

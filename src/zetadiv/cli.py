@@ -140,7 +140,7 @@ def cmd_delta_scan(args) -> int:
                         cache_status=status)
         print(f"wrote {xs.size} rows to {args.out} (cache: {status} at {cache_path})")
     else:
-        for x, d in zip(xs, ds):
+        for x, d in zip(xs.tolist(), ds.tolist()):
             print(f"{x!r},{d!r}")
     return EXIT_OK
 
@@ -179,7 +179,7 @@ def cmd_e_scan(args) -> int:
         _write_manifest(args, t0, [args.out], {"quadrature_error_estimate": err})
         print(f"wrote {ts.size} rows to {args.out}")
     else:
-        print(f"E({args.tmax!r}) = {es[-1]!r} (error estimate {err:.3e})")
+        print(f"E({args.tmax!r}) = {float(es[-1])!r} (error estimate {err:.3e})")
     return EXIT_OK
 
 

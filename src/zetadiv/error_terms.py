@@ -115,25 +115,27 @@ class ZetaMeanSquare:
         return max(1, math.ceil(self.chunk / (2.0 * _panel_width_cap(b))))
 
     def extend_to(self, T: float) -> None:
-        """Ensure chunks cover [0, T]; batch-evaluates whole chunk groups."""
+        """Ensure the cached chunks cover [0, T]; only new chunks are computed.
+
+        Groups of up to 4096 new chunks share one sample grid at the panel
+        count of the group's last chunk.  Below t = 2 pi e^{4 pi} ~ 1.8017e6
+        that is every chunk's own count; above it, a chunk may get finer panels.
+        """
         need = math.ceil(max(T, 0.0) / self.chunk)
         k = len(self._cum) - 1
         while k < need:
-            a = k * self.chunk
-            m = self._m_for(a + self.chunk)
-            # group the consecutive chunks that share this panel count
-            k_end = k + 1
-            while k_end < need and k_end - k < 4096 and self._m_for((k_end + 1) * self.chunk) == m:
-                k_end += 1
-            n_chunks = k_end - k
+            k_end = min(need, k + 4096)
+            # _panel_width_cap never increases with t, so the last chunk
+            # needs the finest panels and every chunk gets at least its own
+            m = self._m_for(k_end * self.chunk)
             # the fine rule has 4m panels per chunk, the coarse rule 2m
             h = self.chunk / (4 * m)
-            ys = zeta_abs2_grid(a + h * np.arange(n_chunks * 4 * m + 1))
-            coarse, fine = _simpson_pair(ys, h, n_chunks)
+            ys = zeta_abs2_grid(k * self.chunk + h * np.arange((k_end - k) * 4 * m + 1))
+            coarse, fine = _simpson_pair(ys, h, k_end - k)
             err = np.abs(fine - coarse) / 15.0
-            for i in range(n_chunks):
-                self._cum.append(self._cum[-1] + float(fine[i]))
-                self._err.append(self._err[-1] + float(err[i]))
+            # cumsum adds in sequence, as a running float sum would
+            self._cum += np.cumsum(np.r_[self._cum[-1], fine])[1:].tolist()
+            self._err += np.cumsum(np.r_[self._err[-1], err])[1:].tolist()
             k = k_end
 
     def integral(self, T: float) -> float:
@@ -144,7 +146,7 @@ class ZetaMeanSquare:
             return 0.0
         self.extend_to(T)
         k = int(T / self.chunk)
-        base = self._cum[min(k, len(self._cum) - 1)]
+        base = self._cum[k]
         a = k * self.chunk
         if T > a + 1e-12 * max(1.0, T):
             m = self._m_for(T)
@@ -163,8 +165,7 @@ class ZetaMeanSquare:
     def error_estimate(self, T: float) -> float:
         """Accumulated Richardson error bound of the cached prefix at T."""
         self.extend_to(T)
-        k = min(int(T / self.chunk), len(self._err) - 1)
-        return self._err[k]
+        return self._err[int(T / self.chunk)]
 
     def grid_values(self, n: int) -> np.ndarray:
         """Cumulative integral at the chunk boundaries 0, c, 2c, ..., n*c."""
@@ -172,25 +173,16 @@ class ZetaMeanSquare:
         return np.asarray(self._cum[:n + 1])
 
 
-_default_ms: ZetaMeanSquare | None = None
-
-
-def default_integrator() -> ZetaMeanSquare:
-    """Process-wide shared quadrature cache (grown lazily, never shrunk)."""
-    global _default_ms
-    if _default_ms is None:
-        _default_ms = ZetaMeanSquare()
-    return _default_ms
+#: Process-wide quadrature cache of E_direct (grown lazily, never shrunk).
+_shared_integrator = ZetaMeanSquare()
 
 
 def E_direct(T: float, *, tol: float = 0.1,
              integrator: ZetaMeanSquare | None = None) -> float:
-    """E(T) by direct quadrature of Z(t)^2.
+    """E(T) by direct quadrature of Z(t)^2, on one process-wide cache by default.
 
     The cached cumulative error at T must come in under ``tol`` or a
-    PrecisionError is raised.  Passing an explicit ``integrator`` shares
-    panel work across calls and makes the integral extension T1 -> T2
-    incremental.
+    PrecisionError is raised.
     """
     if T < 0:
         raise InvalidArgumentError("E_direct needs T >= 0")
@@ -198,12 +190,11 @@ def E_direct(T: float, *, tol: float = 0.1,
         return 0.0
     if tol <= 0:
         raise PrecisionError("tolerance must be positive")
-    integ = integrator if integrator is not None else default_integrator()
+    integ = integrator if integrator is not None else _shared_integrator
     val = integ.integral(T)
-    if integ.error_estimate(T) > tol:
-        raise PrecisionError(
-            f"quadrature error estimate {integ.error_estimate(T):.3e} "
-            f"exceeds tol {tol} at T={T}")
+    err = integ.error_estimate(T)
+    if err > tol:
+        raise PrecisionError(f"quadrature error estimate {err:.3e} exceeds tol {tol} at T={T}")
     return val - TWO_PI * main_term(T / TWO_PI)
 
 
@@ -336,11 +327,11 @@ def E_balasubramanian(T: float) -> float:
     for lo in range(0, kn, _BALASU_BLOCK):
         hi = min(lo + _BALASU_BLOCK, kn)
         dl = logn[lo:hi, None] - logn[None, :]
-        np.fill_diagonal(dl[:, lo:hi], np.nan)  # mask m == n
+        np.fill_diagonal(dl[:, lo:hi], 1.0)  # m == n terms are zeroed below
         amp = rsn[lo:hi, None] * rsn[None, :]
-        with np.errstate(invalid="ignore"):
-            t1 = np.sin(T * dl) / dl * amp
-        s1 += float(np.nansum(t1))
+        t1 = np.sin(T * dl) / dl * amp
+        np.fill_diagonal(t1[:, lo:hi], 0.0)
+        s1 += float(np.sum(t1))
         sl = logn[lo:hi, None] + logn[None, :]
         den = two_theta1_deriv - sl
         t2 = np.sin(2.0 * th1 - T * sl) / den * amp
@@ -416,8 +407,7 @@ class ScanResult:
 
 
 def estar_scan(tmax: float, step: float = 0.25, *,
-               table: DivisorTable | None = None,
-               integrator: ZetaMeanSquare | None = None) -> ScanResult:
+               table: DivisorTable | None = None) -> ScanResult:
     """Sample E, 2 pi delta*(t/2 pi) and E* on the uniform grid to tmax.
 
     If no table is supplied one is sieved to cover 4*tmax/(2 pi).  E*
@@ -427,7 +417,7 @@ def estar_scan(tmax: float, step: float = 0.25, *,
         table = sieve_divisors(int(4 * tmax / TWO_PI) + 2)
     if 4 * tmax / TWO_PI > table.limit:
         raise OutOfRangeError("divisor table too small for delta*(tmax/(2 pi))")
-    ts, e_vals = E_grid(tmax, step, integrator)
+    ts, e_vals = E_grid(tmax, step)
     ds = np.zeros_like(ts)  # delta* is not defined at t = 0
     ds[1:] = TWO_PI * delta_star_grid(table, ts[1:] / TWO_PI)
     return ScanResult(t=ts, E=e_vals, delta_star_scaled=ds, E_star=e_vals - ds,
@@ -454,25 +444,27 @@ def _moment_normalizer(T: float, k: int) -> float:
 
 
 def moment_scan_from_samples(ts: np.ndarray, e_star: np.ndarray, k: int) -> list[MomentResult]:
-    """Cumulative trapezoid of |E*|^k reported at dyadic checkpoints 2^j."""
+    """Cumulative trapezoid of |E*|^k at dyadic checkpoints 2^j on a uniform grid from 0."""
     if k not in (2, 4, 5):
         raise InvalidArgumentError("moment order k must be one of {2, 4, 5}")
     if ts.size < 2:
         raise InvalidArgumentError("need at least two samples")
     step = float(ts[1] - ts[0])
+    dt = np.diff(ts)
+    if ts[0] != 0 or np.max(np.abs(dt - step)) > 1e-9 * max(1.0, float(ts[-1])):
+        raise InvalidArgumentError("moment grid must be uniform and start at 0")
     if ts.size < 1000 or step > 1.0:
         warnings.warn(
             f"moment grid is sparse ({ts.size} samples, step {step}); "
             "moment ratios may be under-resolved", PrecisionWarning, stacklevel=2)
     g = np.abs(e_star) ** k
-    cum = np.concatenate([[0.0], np.cumsum((g[1:] + g[:-1]) * 0.5 * np.diff(ts))])
+    cum = np.concatenate([[0.0], np.cumsum((g[1:] + g[:-1]) * 0.5 * dt)])
     tmax = float(ts[-1])
     out = []
     j = MOMENT_J_MIN
     while 2.0 ** j <= tmax + 1e-9:
         T = 2.0 ** j
-        idx = int(round(T / step))
-        integral = float(cum[min(idx, cum.size - 1)])
+        integral = float(cum[min(round(T / step), cum.size - 1)])
         norm = _moment_normalizer(T, k)
         out.append(MomentResult(T=T, k=k, integral=integral,
                                 normalizer=norm, ratio=integral / norm))
@@ -482,11 +474,10 @@ def moment_scan_from_samples(ts: np.ndarray, e_star: np.ndarray, k: int) -> list
 
 def moment_scan(tmax: float, k: int, grid_step: float = 0.25, *,
                 scan: ScanResult | None = None,
-                table: DivisorTable | None = None,
-                integrator: ZetaMeanSquare | None = None) -> list[MomentResult]:
+                table: DivisorTable | None = None) -> list[MomentResult]:
     """Moment scan of |E*|^k on [0, tmax]; builds the sample grid if needed."""
     if scan is None:
-        scan = estar_scan(tmax, grid_step, table=table, integrator=integrator)
+        scan = estar_scan(tmax, grid_step, table=table)
     return moment_scan_from_samples(scan.t, scan.E_star, k)
 
 

@@ -67,6 +67,32 @@ def test_delta_scan_deterministic_with_manifest(capsys, tmp_path):
     assert "version" in mani and "wall_time_s" in mani
 
 
+def test_delta_scan_stdout_rows_are_plain_floats(capsys, tmp_path):
+    rc, out, _ = run(capsys, "--cache-dir", str(tmp_path), "delta-scan", "--min", "10",
+                     "--max", "20", "--count", "3")
+    assert rc == 0
+    rows = out.splitlines()
+    assert len(rows) == 3
+    for row in rows:
+        x, d = row.split(",")
+        float(x), float(d)
+
+
+def test_stdout_has_no_numpy_reprs(capsys, tmp_path):
+    cache = str(tmp_path / "cache")
+    for argv in (("e-scan", "--tmax", "50"),
+                 ("zeta-eval", "--t", "5"),
+                 ("zeta-eval", "--t", "100"),
+                 ("voronoi", "--x", "500", "--n", "100", "--compare"),
+                 ("atkinson", "--T", "400"),
+                 ("balasu", "--T", "1000"),
+                 ("short-interval", "--T", "1000", "--G", "10"),
+                 ("moments", "--tmax", "300", "--k", "2")):
+        rc, out, _ = run(capsys, "--cache-dir", cache, *argv)
+        assert rc == 0, argv
+        assert "np." not in out, (argv, out)
+
+
 def test_zeta_eval_matches_oracle(capsys):
     rc, out, _ = run(capsys, "zeta-eval", "--t", "100")
     assert rc == 0

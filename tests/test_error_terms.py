@@ -74,6 +74,29 @@ def test_shared_simpson_samples_match_separate_grids():
     assert ms._err == err
 
 
+def test_panel_count_non_decreasing_in_t():
+    # extend_to integrates a group of chunks at the panel count of its last
+    # chunk; that count must be the largest any chunk of the group needs
+    bs = np.geomspace(1.0, 1e12, 2000)
+    for chunk in (0.1, 0.25, 1.0, 7.3):
+        ms = ZetaMeanSquare(chunk=chunk)
+        ms_of_b = [ms._m_for(float(b)) for b in bs]
+        assert all(x <= y for x, y in zip(ms_of_b, ms_of_b[1:])), chunk
+
+
+def test_stepwise_extension_matches_one_call():
+    # steps put the 4096-chunk group boundaries elsewhere than one call does
+    stepped = ZetaMeanSquare()
+    for T in (500.0, 1234.5, 2000.0):
+        stepped.extend_to(T)
+    fresh = ZetaMeanSquare()
+    fresh.extend_to(2000.0)
+    n = round(2000.0 / fresh.chunk)
+    assert n > 4096
+    a, b = stepped.grid_values(n), fresh.grid_values(n)
+    assert np.all(np.abs(a - b) <= 1e-9 * np.abs(b))
+
+
 def test_E_direct_validation(ms_integrator):
     with pytest.raises(InvalidArgumentError):
         E_direct(-1.0)
@@ -196,6 +219,21 @@ def test_moment_scan_validation(table_small):
     vals = np.ones_like(ts)
     with pytest.warns(PrecisionWarning):
         moment_scan_from_samples(ts, vals, 2)
+
+
+def test_moment_scan_rejects_non_uniform_grid():
+    # checkpoints are read at index round(T/step): the grid must start at 0
+    # and keep one spacing
+    vals = np.ones(2001)
+    with pytest.raises(InvalidArgumentError):
+        moment_scan_from_samples(1.0 + 0.25 * np.arange(2001), vals, 2)
+    ts = 0.25 * np.arange(2001)
+    ts[1000:] += 0.05
+    with pytest.raises(InvalidArgumentError):
+        moment_scan_from_samples(ts, vals, 2)
+    # the rounding of step * arange(n) is far inside the tolerance
+    ts = 0.1 * np.arange(200001)
+    assert moment_scan_from_samples(ts, np.ones_like(ts), 2)
 
 
 def test_moment_smoke_suite(table_small):
