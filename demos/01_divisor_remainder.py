@@ -47,5 +47,5 @@ print(f"  at 4x={m}: observed jump {jump:+.4f}, d({m})/2 = {table.values[m] / 2}
 
 print("\nempirical growth exponent of |delta| over dyadic blocks:")
 xs = np.exp(np.linspace(np.log(16), np.log(LIMIT), 3000))
-slope = empirical_exponent((xs, delta_grid(table, xs)))
+slope = empirical_exponent(xs, delta_grid(table, xs))
 print(f"  fitted slope {slope:.4f}  (proven < 1/3; conjectured 1/4)")

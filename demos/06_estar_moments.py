@@ -9,7 +9,7 @@ T^{16/9} (k=4) and T^2 (k=5) scales.
 
 import numpy as np
 
-from zetadiv import estar_scan, fit_log_cubic, moment_scan, sieve_divisors
+from zetadiv import estar_scan, fit_log_cubic, moment_scan_from_samples, sieve_divisors
 
 TMAX = 4000.0
 table = sieve_divisors(int(4 * TMAX / (2 * np.pi)) + 2)
@@ -26,12 +26,12 @@ print(f"  |E*| is the smallest of the three on {100 * frac:.1f}% of the grid")
 
 print("\nmoment ratios at dyadic checkpoints (bounded ratios = the scales fit):")
 for k in (2, 4, 5):
-    res = moment_scan(TMAX, k, scan=scan)
+    res = moment_scan_from_samples(scan.t, scan.E_star, k)
     line = "  k=%d: " % k + "  ".join(f"T=2^{int(np.log2(r.T))}:{r.ratio:.3g}"
                                       for r in res[-5:])
     print(line)
 
-res2 = moment_scan(TMAX, 2, scan=scan)
+res2 = moment_scan_from_samples(scan.t, scan.E_star, 2)
 coef, rel = fit_log_cubic(res2)
 print("\ncubic-in-log-T fit of the k=2 moment over T^{4/3}:")
 print(f"  coefficients (highest first): {np.round(coef, 4)}")

@@ -63,7 +63,7 @@ def criterion_2(table: DivisorTable | None = None) -> tuple[bool, str]:
         b = delta_star_alternating(table, float(x))
         worst_rel = max(worst_rel, abs(a - b) / max(1.0, abs(a)))
     grid = np.exp(np.linspace(np.log(16), np.log(1e7), 4000))
-    slope = empirical_exponent((grid, delta_grid(table, grid)))
+    slope = empirical_exponent(grid, delta_grid(table, grid))
     ok = (mismatches == 0 and worst <= 5.0 and worst_rel <= 1e-9
           and 0.2 <= slope <= 0.34)
     detail = (f"hyperbola mismatches={mismatches}, max|delta - psi route|="

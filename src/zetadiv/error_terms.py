@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divisor import (DivisorTable, delta_star, delta_star_grid, main_term,
-                      sieve_divisors)
+from .divisor import DivisorTable, delta_star_grid, main_term, sieve_divisors
 from .errors import (InvalidArgumentError, OutOfRangeError, PrecisionError,
                      PrecisionWarning, ResourceLimitError)
 from .zeta import TWO_PI, theta1, zeta_abs2_grid
@@ -344,26 +343,6 @@ def E_balasubramanian(T: float) -> float:
 # Hybrid remainder E* and its scans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ErrorTermSample:
-    """One abscissa with E, the scaled alternating divisor remainder, E*."""
-
-    t: float
-    E: float
-    delta_star_scaled: float  # 2 pi delta*(t/(2 pi))
-    E_star: float             # E - delta_star_scaled, exactly as stored
-
-
-def E_star(T: float, *, table: DivisorTable,
-           integrator: ZetaMeanSquare | None = None) -> ErrorTermSample:
-    """E*(T) = E(T) - 2 pi delta*(T/(2 pi)) with all three parts reported."""
-    if T <= 0:
-        raise InvalidArgumentError("E_star needs T > 0")
-    e_val = E_direct(T, integrator=integrator)
-    ds = TWO_PI * delta_star(table, T / TWO_PI)
-    return ErrorTermSample(t=float(T), E=e_val, delta_star_scaled=ds, E_star=e_val - ds)
-
-
 def write_columns_csv(path, header: str, columns) -> None:
     """CSV of equal-length float columns, shortest round-trip formatting."""
     cells = [map(repr, col) for col in columns]
@@ -472,15 +451,6 @@ def moment_scan_from_samples(ts: np.ndarray, e_star: np.ndarray, k: int) -> list
     return out
 
 
-def moment_scan(tmax: float, k: int, grid_step: float = 0.25, *,
-                scan: ScanResult | None = None,
-                table: DivisorTable | None = None) -> list[MomentResult]:
-    """Moment scan of |E*|^k on [0, tmax]; builds the sample grid if needed."""
-    if scan is None:
-        scan = estar_scan(tmax, grid_step, table=table)
-    return moment_scan_from_samples(scan.t, scan.E_star, k)
-
-
 def fit_log_cubic(results: list[MomentResult]) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares cubic in log T for integral/T^{4/3} at the checkpoints.
 
@@ -560,22 +530,18 @@ def short_interval_ms(T: float, G: float, *, profile: str = "exp_bump") -> float
 # Empirical growth exponents
 # ---------------------------------------------------------------------------
 
-def empirical_exponent(samples) -> float:
+def empirical_exponent(ts, values) -> float:
     """Dyadic-block slope: least squares of log(max|value|) versus log t.
 
-    ``samples`` is a sequence of (t, value) pairs or a (t, value) array
-    pair.  Blocks are [2^j, 2^{j+1}); at least 8 nonempty blocks are
-    required.  Returns the fitted slope, an exploratory estimate of the
-    growth exponent inf{a : value << t^a}.
+    ``ts`` and ``values`` are equal-length arrays.  Blocks are
+    [2^j, 2^{j+1}); at least 8 nonempty blocks are required.  Returns the
+    fitted slope, an exploratory estimate of the growth exponent
+    inf{a : value << t^a}.
     """
-    if isinstance(samples, tuple) and len(samples) == 2:
-        ts, vals = (np.asarray(samples[0], dtype=float),
-                    np.asarray(samples[1], dtype=float))
-    else:
-        arr = np.asarray(list(samples), dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise InvalidArgumentError("samples must be (t, value) pairs")
-        ts, vals = arr[:, 0], arr[:, 1]
+    ts = np.asarray(ts, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    if ts.shape != vals.shape:
+        raise InvalidArgumentError("ts and values must have the same shape")
     ok = ts > 0
     ts, vals = ts[ok], vals[ok]
     if ts.size == 0:

@@ -25,6 +25,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 from scipy.special import loggamma
 
 from .errors import InvalidArgumentError, OutOfRangeError, PrecisionError
@@ -42,7 +43,7 @@ RS_CROSSOVER_T = 6000.0
 #: absolute error at the boundary (~7e-5) is far below quadrature needs.
 SCAN_RS_MIN_T = 200.0
 
-_EM_MAX_CORRECTION = 60
+_EM_MAX_CORRECTION = 20  # the highest order any caller needs
 _EM_ORDER = 12  # default number of Bernoulli corrections
 
 
@@ -103,9 +104,9 @@ def zeta_em(s, terms: int | None = None, correction_order: int | None = None) ->
 
     ``terms`` is the cut N of the direct sum (default ~1.3*|Im s| + 24,
     at least twice (1+|t|) is comfortably exceeded for small t) and
-    ``correction_order`` the number of Bernoulli corrections (default 12).
-    Two different parameter choices agree to ~1e-12 on the strip, which is
-    the self-consistency check the tests pin down.
+    ``correction_order`` the number of Bernoulli corrections (default 12,
+    at most 20).  Two different parameter choices agree to ~1e-12 on the
+    strip, which is the self-consistency check the tests pin down.
     """
     s = complex(s)
     if s == 1:
@@ -228,60 +229,24 @@ def rs_theta(t):
 # Riemann-Siegel correction coefficients.
 #
 # The remainder kernel  psi_rs(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p)
-# is entire (the cos zeros cancel).  Near p = 1/4 + k/2 we switch to the
-# factored form derived from u = p - 1/4, v = u - k/2:
-#     psi_rs = (-1)^(m+k) sin(pi v (1-2k) - 2 pi v^2) / sin(2 pi v),
-# with m = k(1-k)/2 an integer, which has no cancelling zeros.  The first
-# correction coefficient needs the third derivative; that is taken from a
-# Chebyshev model of psi_rs fitted once at import (spectrally accurate,
-# the function being entire).
+# is entire (the cos zeros cancel), so one Chebyshev interpolant of degree
+# 40 on [-0.1, 1.1], fitted once at import, is spectrally accurate for it
+# and its derivatives, and needs no masks: C0 = psi_rs is read off the
+# interpolant, C1 = -psi_rs'''/(96 pi^2) off its chebder.
 # ---------------------------------------------------------------------------
 
 def _psi_rs(p):
-    """The Riemann-Siegel remainder kernel, stable everywhere on [0, 1]."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    u = p - 0.25
-    k = np.rint(2.0 * u)
-    v = u - 0.5 * k
-    out = np.empty_like(p)
-    local = np.abs(v) < 0.1
-    if np.any(~local):
-        pd = p[~local]
-        out[~local] = (np.cos(TWO_PI * (pd * pd - pd - 0.0625))
-                       / np.cos(TWO_PI * pd))
-    if np.any(local):
-        kk = k[local]
-        vv = v[local]
-        m = kk * (1.0 - kk) / 2.0
-        sign = np.where(((m + kk) % 2.0) == 0.0, 1.0, -1.0)
-        num = np.sin(math.pi * vv * (1.0 - 2.0 * kk) - TWO_PI * vv * vv)
-        den = np.sin(TWO_PI * vv)
-        # both vanish linearly at vv=0; the quotient is the (1-2k)/2 limit
-        tiny = np.abs(vv) < 1e-9
-        ratio = np.empty_like(vv)
-        ratio[~tiny] = num[~tiny] / den[~tiny]
-        ratio[tiny] = (1.0 - 2.0 * kk[tiny]) / 2.0
-        out[local] = sign * ratio
-    return out
+    """The Riemann-Siegel remainder kernel as the plain quotient."""
+    return np.cos(TWO_PI * (p * p - p - 0.0625)) / np.cos(TWO_PI * p)
 
 
-def _build_psi3_model(deg: int = 140):
-    """Chebyshev model of the third derivative of the remainder kernel."""
-    a, b = -0.1, 1.1
-    nodes = np.cos(np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1))
-    samples = _psi_rs(0.5 * (b - a) * nodes + 0.5 * (a + b))
-    coef = np.polynomial.chebyshev.chebfit(nodes, samples, deg)
-    scale = 2.0 / (b - a)
-    d3 = np.polynomial.chebyshev.chebder(coef, 3) * scale**3
-
-    def model(p):
-        x = scale * (np.asarray(p, dtype=float) - 0.5 * (a + b))
-        return np.polynomial.chebyshev.chebval(x, d3)
-
-    return model
-
-
-_PSI3 = _build_psi3_model()
+# The plain quotient is safe at the fit's 41 nodes: |cos 2 pi p| >= 0.10
+# there, and fitting the factored form sin(pi v (1-2k) - 2 pi v^2) /
+# sin(2 pi v) (v = p - 1/4 - k/2, sign aside) instead moves no coefficient
+# by more than 2.4e-16.
+_PSI_NODES = np.cos(np.pi * (np.arange(41) + 0.5) / 41)  # x = (p - 0.5) / 0.6
+_PSI_COEF = chebfit(_PSI_NODES, _psi_rs(0.6 * _PSI_NODES + 0.5), 40)
+_PSI3_COEF = chebder(_PSI_COEF, 3) / 0.6**3
 _C1_SCALE = -1.0 / (96.0 * math.pi**2)
 
 
@@ -294,8 +259,10 @@ def rs_z_grid(ts) -> np.ndarray:
     """Hardy Z(t) on an array of t >= 2 pi via the Riemann-Siegel formula.
 
     Main sum of floor(sqrt(t/2 pi)) cosines plus the two correction
-    coefficients C0 and C1.  The measured absolute error against the
-    Euler-Maclaurin oracle stays under ~0.06 * t^(-5/4).
+    coefficients C0 and C1, both read off the one Chebyshev model of
+    psi_rs.  The measured absolute error against the Euler-Maclaurin
+    oracle stays under ~0.06 * t^(-5/4), plus the rounding of the phases
+    t log n at large t.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
@@ -316,7 +283,8 @@ def rs_z_grid(ts) -> np.ndarray:
         z[idx] = 2.0 * acc
     p = tau - kk
     q = np.power(TWO_PI / ts, 0.25)
-    corr = _psi_rs(p) + _C1_SCALE * _PSI3(p) * np.sqrt(TWO_PI / ts)
+    x = (p - 0.5) / 0.6
+    corr = chebval(x, _PSI_COEF) + _C1_SCALE * chebval(x, _PSI3_COEF) * np.sqrt(TWO_PI / ts)
     parity = np.where(kk % 2 == 1, 1.0, -1.0)  # (-1)^(K-1)
     return z + parity * q * corr
 

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from zetadiv import (E_atkinson, E_balasubramanian, E_direct, E_grid, E_star,
+from zetadiv import (E_atkinson, E_balasubramanian, E_direct, E_grid,
                      InvalidArgumentError, OutOfRangeError, PrecisionWarning,
                      ResourceLimitError, ZetaMeanSquare, empirical_exponent,
-                     estar_scan, fit_log_cubic, moment_scan, short_interval_ms,
-                     theta1)
+                     estar_scan, fit_log_cubic, short_interval_ms, theta1)
 from zetadiv.error_terms import (ATKINSON_A, ATKINSON_A_PRIME, atkinson_e,
                                  atkinson_f, atkinson_n_prime,
                                  moment_scan_from_samples, smooth_window)
@@ -193,13 +192,6 @@ def test_balasubramanian_matches_direct(ms_integrator):
         <= 20.0 * math.log(T) ** 2
 
 
-def test_E_star_identity(table_small, ms_integrator):
-    s = E_star(1000.0, table=table_small, integrator=ms_integrator)
-    assert s.E_star == s.E - s.delta_star_scaled  # bit-for-bit
-    with pytest.raises(InvalidArgumentError):
-        E_star(0.0, table=table_small)
-
-
 def test_estar_scan_small_T_consistency(table_small):
     scan = estar_scan(8.0, 0.25, table=table_small)
     assert scan.E_star[0] == 0.0
@@ -212,11 +204,11 @@ def test_estar_scan_small_T_consistency(table_small):
     assert np.all(scan.E_star == scan.E - scan.delta_star_scaled)
 
 
-def test_moment_scan_validation(table_small):
-    with pytest.raises(InvalidArgumentError):
-        moment_scan(100.0, 3, table=table_small)
+def test_moment_scan_validation():
     ts = np.arange(0, 300.0, 2.0)
     vals = np.ones_like(ts)
+    with pytest.raises(InvalidArgumentError):
+        moment_scan_from_samples(ts, vals, 3)
     with pytest.warns(PrecisionWarning):
         moment_scan_from_samples(ts, vals, 2)
 
@@ -277,14 +269,15 @@ def test_short_interval_profile_independence():
 
 def test_empirical_exponent_synthetic(rng):
     ts = np.exp(rng.uniform(np.log(16), np.log(10**6), 4000))
-    slope = empirical_exponent((ts, ts ** 0.31))
+    slope = empirical_exponent(ts, ts ** 0.31)
     assert abs(slope - 0.31) <= 0.01
-    slope0 = empirical_exponent((ts, np.full_like(ts, 2.5)))
+    slope0 = empirical_exponent(ts, np.full_like(ts, 2.5))
     assert abs(slope0) <= 0.01
+    assert abs(empirical_exponent(ts.tolist(), (ts ** 0.25).tolist()) - 0.25) <= 0.01
     with pytest.raises(InvalidArgumentError):
-        empirical_exponent((ts[ts < 200], (ts[ts < 200]) ** 0.3))  # < 8 blocks
-    pairs = list(zip(ts.tolist(), (ts ** 0.25).tolist()))
-    assert abs(empirical_exponent(pairs) - 0.25) <= 0.01
+        empirical_exponent(ts[ts < 200], (ts[ts < 200]) ** 0.3)  # < 8 blocks
+    with pytest.raises(InvalidArgumentError):
+        empirical_exponent(ts, ts[:-1])
 
 
 def test_sigma2_soft_log_bound(table_small):

@@ -144,6 +144,10 @@ def test_zeta_em_pole_and_validation():
         zeta_em(2.0, terms=1)
     with pytest.raises(InvalidArgumentError):
         zeta_em(2.0, correction_order=0)
+    # the exact Bernoulli table stops at order 20, the highest any caller uses
+    assert abs(zeta_em(2.0, correction_order=20) - math.pi**2 / 6) <= 1e-12
+    with pytest.raises(InvalidArgumentError):
+        zeta_em(2.0, correction_order=21)
 
 
 @pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath not installed")
@@ -252,3 +256,46 @@ def test_convexity_exponent_domain():
         convexity_exponent(-0.1)
     with pytest.raises(InvalidArgumentError):
         convexity_exponent(1.1)
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: mpmath
+# ---------------------------------------------------------------------------
+
+@pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath not installed")
+def test_psi_model_against_mpmath(rng):
+    # the one Chebyshev model of the remainder kernel gives C0 (psi) and C1
+    # (psi''') everywhere on [0, 1], including at the cancelling zeros of
+    # cos(2 pi p) at p = 1/4 and 3/4
+    from numpy.polynomial.chebyshev import chebval
+    from zetadiv.zeta import _PSI3_COEF, _PSI_COEF
+
+    def psi(p):
+        return (mpmath.cos(2 * mpmath.pi * (p * p - p - mpmath.mpf(1) / 16))
+                / mpmath.cos(2 * mpmath.pi * p))
+
+    ps = np.concatenate([rng.uniform(0.0, 1.0, 24),
+                         0.25 + rng.uniform(-1e-7, 1e-7, 4),
+                         0.75 + rng.uniform(-1e-7, 1e-7, 4), [0.0, 0.5]])
+    with mpmath.workdps(30):
+        for p in ps:
+            x = (p - 0.5) / 0.6
+            mp_p = mpmath.mpf(float(p))
+            assert abs(chebval(x, _PSI_COEF) - float(psi(mp_p))) <= 1e-14, p
+            assert abs(chebval(x, _PSI3_COEF) - float(mpmath.diff(psi, mp_p, 3))) <= 1e-8, p
+
+
+@pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath not installed")
+def test_rs_z_grid_high_t_against_siegelz():
+    # README's envelope: the correction-series truncation 0.053 t^(-5/4)
+    # plus the double rounding of the phases t log n, 2u t sum log n/sqrt n
+    ts = np.array([10000.3, 12345.6, 77403.722, 1e6 + 0.37, 1234567.8,
+                   1e7 + 0.37, 9876543.21])
+    zs = rs_z_grid(ts)
+    u = 2.0 ** -53
+    for t, z in zip(ts, zs):
+        n = np.arange(2, rs_term_count(t) + 1)
+        tol = 0.053 * t ** -1.25 + 2.0 * u * t * float(np.sum(np.log(n) / np.sqrt(n)))
+        with mpmath.workdps(25):
+            err = abs(z - float(mpmath.siegelz(float(t))))
+        assert err <= tol, (t, err, tol)
