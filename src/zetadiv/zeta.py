@@ -17,6 +17,12 @@ Three routes are provided and cross-validated against each other:
 Also here: the functional-equation factor chi(s) with zeta(s) =
 chi(s) * zeta(1-s), its Stirling approximation, the phase theta1(T) =
 (T/2) log(T/(2 pi)) - T/2 - pi/8, and the convexity exponent (1-sigma)/2.
+
+The module needs numpy only.  The exact phase ``rs_theta`` is the real-t
+asymptotic series of theta from t = 12 on; below that, and inside
+``chi_factor``, a private complex log Gamma shifts z to |z| >= 12 by the
+recurrence and applies Stirling's series, whose coefficients come from the
+exact Bernoulli table of the Euler-Maclaurin route, and reflects Re z < 0.
 """
 
 from __future__ import annotations
@@ -26,13 +32,13 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebfit, chebval
-from scipy.special import loggamma
 
 from .errors import InvalidArgumentError, OutOfRangeError, PrecisionError
 
 TWO_PI = 2.0 * math.pi
 LOG_PI = math.log(math.pi)
 LOG_2 = math.log(2.0)
+HALF_LOG_2PI = 0.5 * math.log(TWO_PI)
 
 #: Below this t the production Z evaluator uses the Euler-Maclaurin route;
 #: above it the Riemann-Siegel expansion (C0+C1) is accurate to ~1e-6 and
@@ -109,6 +115,8 @@ def zeta_em(s, terms: int | None = None, correction_order: int | None = None) ->
     strip, which is the self-consistency check the tests pin down.
     """
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise InvalidArgumentError(f"zeta_em needs finite s, got {s}")
     if s == 1:
         raise InvalidArgumentError("zeta has a pole at s = 1")
     N = int(terms) if terms is not None else _em_terms(abs(s.imag))
@@ -135,6 +143,52 @@ def _zeta_half_em_grid(ts: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# log Gamma: recurrence shift plus Stirling's series, reflection for Re z < 0
+# ---------------------------------------------------------------------------
+
+#: Stirling coefficients B_{2k}/(2k (2k-1)), k = 1..8, from the exact table;
+#: at |z| >= 12 the first omitted term is below 1e-19.
+_LG_COEF = np.array([_EM_COEF[k] * math.factorial(2 * k - 2) for k in range(1, 9)])
+_LG_MIN_ABS = 12.0
+
+
+def _log_gamma(z) -> np.ndarray:
+    """Principal log Gamma(z) over a 1-d array of complex z off the poles.
+
+    For Re z >= 0, z is shifted by the recurrence
+    log Gamma(z) = log Gamma(z + m) - sum_{j<m} log(z + j) just far enough
+    that |z + m| >= 12 (no shift once |Im z| >= 12, which keeps the count
+    of rounded terms small); every log(z + j) has Re >= 0, so the result
+    is the principal branch.  Stirling's series then gives
+    log Gamma(z + m), with (w - 1/2) log w - w written as
+    (w - 1/2)(log w - 1) - 1/2 to drop one large cancelling term.
+
+    For Re z < 0 the reflection log Gamma(z) = log pi - log sin(pi z)
+    - log Gamma(1 - z) is used, whose branch is right only modulo 2 pi i
+    (enough under exp, as in chi).  It starts at Re z < 0, not 1/2, so
+    that rs_theta's points z = 1/4 + it/2 stay on the principal branch.
+    """
+    z = np.asarray(z, dtype=complex)
+    refl = z.real < 0.0
+    w = np.where(refl, 1.0 - z, z)
+    m = np.maximum(0.0, np.ceil(np.sqrt(np.maximum(_LG_MIN_ABS**2 - w.imag**2, 0.0)) - w.real))
+    shift = np.zeros_like(w)
+    for j in range(int(m.max(initial=0.0))):
+        shift += np.where(j < m, np.log(w + j), 0.0)
+    w = w + m
+    r = 1.0 / w
+    r2 = r * r
+    series = np.full_like(w, _LG_COEF[-1])
+    for c in _LG_COEF[-2::-1]:
+        series = series * r2 + c
+    out = (w - 0.5) * (np.log(w) - 1.0) + (HALF_LOG_2PI - 0.5) + r * series - shift
+    if np.any(refl):
+        log_sin = np.array([_log_sin(math.pi * v) for v in z[refl]])
+        out[refl] = LOG_PI - log_sin - out[refl]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # chi(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1 - s)
 # ---------------------------------------------------------------------------
 
@@ -151,7 +205,9 @@ def _log_sin(w: complex) -> complex:
 def chi_factor(s) -> complex:
     """Functional-equation factor chi(s) with zeta(s) = chi(s) zeta(1-s).
 
-    Computed through log Gamma for stability; satisfies
+    Computed as exp of log 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) for
+    stability, with the in-house log Gamma (whose branch does not matter
+    under exp); satisfies
     chi(s) * chi(1-s) = 1 and |chi(1/2+it)| = 1.  Real odd integers
     s >= 1 are poles (raise); real even integers are handled by their
     finite sin*Gamma limits.
@@ -169,7 +225,7 @@ def chi_factor(s) -> complex:
         if k <= 0 and k % 2 == 0:
             return 0.0 + 0.0j  # trivial zeros of zeta
     log_chi = (s * LOG_2 + (s - 1) * LOG_PI + _log_sin(math.pi * s / 2.0)
-               + loggamma(1.0 - s))
+               + _log_gamma(np.array([1.0 - s]))[0])
     return complex(np.exp(log_chi))
 
 
@@ -211,18 +267,40 @@ def theta1_deriv(T: float) -> float:
     return 0.5 * math.log(T / TWO_PI)
 
 
-def rs_theta(t):
-    """Exact Riemann-Siegel phase Im log Gamma(1/4 + it/2) - (t/2) log pi.
+#: rs_theta uses its real-t series from here up.  The first omitted term,
+#: 1414477/(1476034560 t^11), is 1.3e-15 at t = 12; the log-Gamma route
+#: below forms intermediates a few times |theta|, which costs up to 2.5e-14
+#: on [20, 50], so the series takes over as early as it is accurate.
+THETA_SERIES_MIN_T = 12.0
 
-    Differs from theta1(t) by 1/(48 t) + O(t^-3); computed from the
-    log-Gamma closed form, stable for t well past 1e7.
+
+def rs_theta(t):
+    """Riemann-Siegel phase theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi.
+
+    For t >= 12 this is the real-t asymptotic series (Edwards, Riemann's
+    Zeta Function, 6.5)
+    (t/2) log(t/(2 pi)) - t/2 - pi/8 + 1/(48 t) + 7/(5760 t^3)
+    + 31/(80640 t^5) + 127/(430080 t^7) + 511/(1216512 t^9),
+    within a few ulp up to t = 1e8 and beyond; below 12 it is the closed
+    form through the principal log Gamma.  theta exceeds theta1(t) by
+    1/(48 t) + O(t^-3).
     """
     t_arr = np.asarray(t, dtype=float)
-    z = 0.25 + 0.5j * t_arr
-    val = np.imag(loggamma(z)) - 0.5 * t_arr * LOG_PI
-    if val.ndim == 0:
-        return float(val)
-    return val
+    if not np.all(np.isfinite(t_arr)):
+        raise InvalidArgumentError("rs_theta needs finite t")
+    scalar = t_arr.ndim == 0
+    t_arr = np.atleast_1d(t_arr)
+    tc = np.maximum(t_arr, THETA_SERIES_MIN_T)
+    r = 1.0 / tc
+    r2 = r * r
+    val = (0.5 * tc * np.log(tc / TWO_PI) - 0.5 * tc - math.pi / 8.0
+           + r * (1.0 / 48.0 + r2 * (7.0 / 5760.0 + r2 * (31.0 / 80640.0 + r2 * (
+               127.0 / 430080.0 + r2 * (511.0 / 1216512.0))))))
+    low = t_arr < THETA_SERIES_MIN_T
+    if np.any(low):
+        t_low = t_arr[low]
+        val[low] = np.imag(_log_gamma(0.25 + 0.5j * t_low)) - 0.5 * t_low * LOG_PI
+    return float(val[0]) if scalar else val
 
 
 # ---------------------------------------------------------------------------
@@ -255,32 +333,70 @@ def rs_term_count(t) -> int:
     return int(math.floor(math.sqrt(float(t) / TWO_PI)))
 
 
+#: rs_z_grid refuses t past which README's phase-rounding envelope
+#: 2u t sum_{2<=n<=K} log(n)/sqrt(n) exceeds this (from t ~ 2.12e9 on).
+RS_PHASE_ERR_MAX = 1e-3
+
+_NEG_ZETA_PRIME_HALF = 3.9226461392091516  # -zeta'(1/2)
+
+
+def _phase_rounding_envelope(t: float) -> float:
+    """README's envelope 2u t sum_{2<=n<=K} log(n)/sqrt(n), K = floor(sqrt(t/2 pi)).
+
+    The sum is taken in closed form from its Euler-Maclaurin expansion,
+    2 sqrt(K) (log K - 2) - zeta'(1/2) + log(K) / (2 sqrt K), which is
+    within 1e-6 of it from K = 100 on.
+    """
+    K = max(1, rs_term_count(t))
+    root = math.sqrt(K)
+    log_sum = 2.0 * root * (math.log(K) - 2.0) + _NEG_ZETA_PRIME_HALF + math.log(K) / (2.0 * root)
+    return 2.0 ** -52 * t * log_sum
+
+
 def rs_z_grid(ts) -> np.ndarray:
-    """Hardy Z(t) on an array of t >= 2 pi via the Riemann-Siegel formula.
+    """Hardy Z(t) on an array of finite t >= 2 pi via the Riemann-Siegel formula.
 
     Main sum of floor(sqrt(t/2 pi)) cosines plus the two correction
     coefficients C0 and C1, both read off the one Chebyshev model of
     psi_rs.  The measured absolute error against the Euler-Maclaurin
     oracle stays under ~0.06 * t^(-5/4), plus the rounding of the phases
-    t log n at large t.
+    t log n at large t; a grid whose largest t puts that rounding
+    envelope past ``RS_PHASE_ERR_MAX`` raises PrecisionError before any
+    summing starts.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         return np.zeros(0)
-    if float(np.min(ts)) < TWO_PI:
+    t_min, t_max = float(np.min(ts)), float(np.max(ts))
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise InvalidArgumentError("rs_z_grid needs finite t")
+    if t_min < TWO_PI:
         raise OutOfRangeError("rs_z_grid needs t >= 2 pi (empty main sum below)")
+    envelope = _phase_rounding_envelope(t_max)
+    if envelope > RS_PHASE_ERR_MAX:
+        raise PrecisionError(f"phase rounding envelope {envelope:.3e} at t={t_max!r} "
+                             f"exceeds {RS_PHASE_ERR_MAX}")
     tau = np.sqrt(ts / TWO_PI)
     kk = np.floor(tau).astype(np.int64)
     theta = np.asarray(rs_theta(ts), dtype=float)
-    z = np.zeros_like(ts)
-    for K in np.unique(kk):
-        idx = np.nonzero(kk == K)[0]
-        t_sub = ts[idx]
-        th = theta[idx]
+    # each K run is one slice of K-sorted data: sorted input (every scan)
+    # is used as it is, anything else goes through one stable sort
+    perm = None if np.all(kk[:-1] <= kk[1:]) else np.argsort(kk, kind="stable")
+    k_s, t_s, th_s = (kk, ts, theta) if perm is None else (kk[perm], ts[perm], theta[perm])
+    k_first, k_last = int(k_s[0]), int(k_s[-1])
+    edges = np.searchsorted(k_s, np.arange(k_first, k_last + 2))
+    z = np.empty_like(ts)
+    for K, lo, hi in zip(range(k_first, k_last + 1), edges[:-1], edges[1:]):
+        if lo == hi:
+            continue
+        t_sub = t_s[lo:hi]
+        th = th_s[lo:hi]
         acc = np.cos(th)  # n = 1
-        for n in range(2, int(K) + 1):
+        for n in range(2, K + 1):
             acc = acc + np.cos(th - t_sub * math.log(n)) / math.sqrt(n)
-        z[idx] = 2.0 * acc
+        z[lo:hi] = 2.0 * acc
+    if perm is not None:
+        z[perm] = z.copy()
     p = tau - kk
     q = np.power(TWO_PI / ts, 0.25)
     x = (p - 0.5) / 0.6
@@ -298,6 +414,8 @@ def z_function(t: float) -> float:
     C0+C1 truncation is past the 1e-6 level there and sharpens with t.
     """
     t = float(t)
+    if not math.isfinite(t):
+        raise InvalidArgumentError(f"z_function needs finite t, got {t}")
     if t < 10.0:
         raise OutOfRangeError("z_function supports t >= 10; use zeta_em below")
     if t < RS_CROSSOVER_T:

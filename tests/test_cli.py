@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +121,27 @@ def test_zeta_eval_golden(capsys, t, line):
     rc, out, _ = run(capsys, "zeta-eval", "--t", t)
     assert rc == 0
     assert out == line + "\n"
+
+
+@pytest.mark.parametrize("t, codes", [("nan", {2}), ("inf", {2}), ("-inf", {2}),
+                                      ("1e300", {2, 4})])
+def test_zeta_eval_non_finite_and_huge_t(capsys, t, codes):
+    rc, out, err = run(capsys, "zeta-eval", f"--t={t}")
+    assert rc in codes, (rc, out, err)
+    assert out == "" and "Traceback" not in err, (out, err)
+
+
+def test_cli_import_leaves_scipy_out():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import sys, zetadiv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout
 
 
 def test_cache_build_hit_and_corruption(capsys, tmp_path):

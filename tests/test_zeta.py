@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from zetadiv import (InvalidArgumentError, OutOfRangeError, chi_factor, chi_stirling,
-                     convexity_exponent, rs_term_count, rs_theta, rs_z_grid, theta1,
-                     theta1_deriv, z_function, zeta_abs2_grid, zeta_em)
-from zetadiv.zeta import RS_CROSSOVER_T, SCAN_RS_MIN_T, TWO_PI
+from zetadiv import (InvalidArgumentError, OutOfRangeError, PrecisionError, chi_factor,
+                     chi_stirling, convexity_exponent, rs_term_count, rs_theta, rs_z_grid,
+                     theta1, theta1_deriv, z_function, zeta_abs2_grid, zeta_em)
+from zetadiv.zeta import (RS_CROSSOVER_T, RS_PHASE_ERR_MAX, SCAN_RS_MIN_T,
+                          THETA_SERIES_MIN_T, TWO_PI, _log_gamma, _phase_rounding_envelope)
 
 try:
     import mpmath
@@ -233,6 +234,53 @@ def test_rs_z_grid_validation():
         rs_z_grid(np.array([3.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_t_raises(bad):
+    with pytest.raises(InvalidArgumentError):
+        rs_theta(bad)
+    with pytest.raises(InvalidArgumentError):
+        rs_theta(np.array([100.0, bad]))
+    with pytest.raises(InvalidArgumentError):
+        rs_z_grid(np.array([100.0, bad]))
+    with pytest.raises(InvalidArgumentError):
+        z_function(bad)
+    with pytest.raises(InvalidArgumentError):
+        zeta_em(complex(0.5, bad))
+
+
+def test_rs_z_grid_phase_rounding_cap():
+    # the closed-form envelope follows README's sum, and crosses the cap
+    # between t = 2e9 and 2.2e9
+    u = 2.0 ** -53
+    for t in (1e6, 1e8, 2e9):
+        n = np.arange(2, rs_term_count(t) + 1)
+        direct = 2.0 * u * t * float(np.sum(np.log(n) / np.sqrt(n)))
+        assert abs(_phase_rounding_envelope(t) - direct) <= 1e-6 * direct, t
+    assert _phase_rounding_envelope(2e9) < RS_PHASE_ERR_MAX < _phase_rounding_envelope(2.2e9)
+    with pytest.raises(PrecisionError):
+        rs_z_grid(np.array([100.0, 2.2e9]))
+    with pytest.raises(PrecisionError):
+        z_function(1e300)
+
+
+def test_rs_z_grid_k_runs_bit_identical(rng):
+    # a shuffled grid across the K = 20 / 21 boundary, plus a lone K = 25
+    # point: each K run gives the same bits as a grid of that K alone, as
+    # the sorted grid, and as one-point grids
+    edge = TWO_PI * 21**2
+    ts = np.concatenate([rng.uniform(edge - 30.0, edge + 30.0, 200), [TWO_PI * 25.5**2]])
+    shuffled = rng.permutation(ts)
+    z = rs_z_grid(shuffled)
+    kk = np.floor(np.sqrt(shuffled / TWO_PI)).astype(int)
+    assert set(kk) == {20, 21, 25}
+    for K in (20, 21, 25):
+        assert np.array_equal(z[kk == K], rs_z_grid(shuffled[kk == K])), K
+    order = np.argsort(shuffled)
+    assert np.array_equal(z[order], rs_z_grid(shuffled[order]))
+    for i in range(0, ts.size, 20):
+        assert z[i] == rs_z_grid(shuffled[i:i + 1])[0], shuffled[i]
+
+
 def test_scan_engine_seam_continuity():
     # the EM/RS hand-off of the scan integrand does not jump
     eps = 1e-6
@@ -283,6 +331,45 @@ def test_psi_model_against_mpmath(rng):
             mp_p = mpmath.mpf(float(p))
             assert abs(chebval(x, _PSI_COEF) - float(psi(mp_p))) <= 1e-14, p
             assert abs(chebval(x, _PSI3_COEF) - float(mpmath.diff(psi, mp_p, 3))) <= 1e-8, p
+
+
+@pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath not installed")
+def test_rs_theta_against_siegeltheta(rng):
+    # log-uniform over [2 pi, 1e8], plus both sides of the switch from log
+    # Gamma to the real-t series and of t = 50
+    ts = np.concatenate([np.exp(rng.uniform(math.log(TWO_PI), math.log(1e8), 400)),
+                         rng.uniform(TWO_PI, 60.0, 100),
+                         [TWO_PI, np.nextafter(THETA_SERIES_MIN_T, 0.0), THETA_SERIES_MIN_T,
+                          49.999, 50.0, 50.001, 1e8]])
+    got = rs_theta(ts)
+    with mpmath.workdps(30):
+        for t, th in zip(ts, got):
+            ref = mpmath.siegeltheta(mpmath.mpf(float(t)))
+            tol = max(1e-14, 4.0 * float(np.spacing(abs(float(ref)))))
+            assert abs(th - ref) <= tol, (t, float(th - ref), tol)
+    assert rs_theta(float(ts[0])) == got[0]
+
+
+@pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath not installed")
+def test_log_gamma_against_mpmath(rng):
+    # criterion 4's s range and test_chi_reflection_random's, taken as both
+    # s and 1 - s (chi_factor evaluates log Gamma(1 - s)), plus the theta
+    # points 1/4 + it/2 and points left of Re z = 1/2 and of 0
+    s4 = rng.uniform(-0.5, 1.5, 60) + 1j * rng.uniform(1.0, 60.0, 60)
+    sr = rng.uniform(-1.0, 2.0, 60) + 1j * rng.uniform(-80.0, 80.0, 60)
+    zs = np.concatenate([s4, 1.0 - s4, sr, 1.0 - sr,
+                         0.25 + 0.5j * rng.uniform(-2 * THETA_SERIES_MIN_T, 200.0, 40),
+                         rng.uniform(-6.0, 0.5, 40) + 1j * rng.uniform(-3.0, 3.0, 40),
+                         [0.3 + 0.0j, 0.5 + 0.0j, 1.0 + 0.0j, 2.0 + 0.0j, 12.5 + 0.0j,
+                          -2.5 + 0.0j, -0.3 + 0.1j]])
+    got = _log_gamma(zs)
+    with mpmath.workdps(30):
+        for z, lg in zip(zs, got):
+            ref = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+            d = lg - ref
+            if z.real < 0.0:  # reflection: right modulo 2 pi i only
+                d -= 2j * math.pi * round(d.imag / (2.0 * math.pi))
+            assert abs(d) <= 1e-13 * max(1.0, abs(ref)), (z, d)
 
 
 @pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath not installed")
