@@ -199,9 +199,15 @@ def cmd_balasu(args) -> int:
     return EXIT_OK
 
 
+def _estar_table(args) -> DivisorTable:
+    if not math.isfinite(args.tmax):
+        raise InvalidArgumentError(f"--tmax must be finite, got {args.tmax!r}")
+    return cache_table(int(4 * args.tmax / TWO_PI) + 2, _cache_dir(args))[0]
+
+
 def cmd_estar_scan(args) -> int:
     t0 = time.time()
-    table, _, _ = cache_table(int(4 * args.tmax / TWO_PI) + 2, _cache_dir(args))
+    table = _estar_table(args)
     scan = estar_scan(args.tmax, args.step, table=table)
     scan.write_csv(args.out)
     summary = scan.summary()
@@ -216,7 +222,7 @@ def cmd_estar_scan(args) -> int:
 
 def cmd_moments(args) -> int:
     t0 = time.time()
-    table, _, _ = cache_table(int(4 * args.tmax / TWO_PI) + 2, _cache_dir(args))
+    table = _estar_table(args)
     scan = estar_scan(args.tmax, args.step, table=table)
     results = moment_scan_from_samples(scan.t, scan.E_star, args.k)
     fitted = {}

@@ -23,7 +23,7 @@ class ResourceLimitError(ZetaDivError):
 
 
 class PrecisionError(ZetaDivError):
-    """Adaptive refinement hit its floor without meeting the tolerance."""
+    """A computed error estimate does not meet the tolerance."""
 
 
 class CacheError(ZetaDivError):

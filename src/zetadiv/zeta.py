@@ -354,7 +354,7 @@ def _phase_rounding_envelope(t: float) -> float:
 
 
 def rs_z_grid(ts) -> np.ndarray:
-    """Hardy Z(t) on an array of finite t >= 2 pi via the Riemann-Siegel formula.
+    """Hardy Z(t) on finite t >= 2 pi (any shape) via the Riemann-Siegel formula.
 
     Main sum of floor(sqrt(t/2 pi)) cosines plus the two correction
     coefficients C0 and C1, both read off the one Chebyshev model of
@@ -364,9 +364,10 @@ def rs_z_grid(ts) -> np.ndarray:
     envelope past ``RS_PHASE_ERR_MAX`` raises PrecisionError before any
     summing starts.
     """
-    ts = np.asarray(ts, dtype=float)
+    shape = np.shape(ts)
+    ts = np.asarray(ts, dtype=float).ravel()
     if ts.size == 0:
-        return np.zeros(0)
+        return np.zeros(shape)
     t_min, t_max = float(np.min(ts)), float(np.max(ts))
     if not (math.isfinite(t_min) and math.isfinite(t_max)):
         raise InvalidArgumentError("rs_z_grid needs finite t")
@@ -402,7 +403,7 @@ def rs_z_grid(ts) -> np.ndarray:
     x = (p - 0.5) / 0.6
     corr = chebval(x, _PSI_COEF) + _C1_SCALE * chebval(x, _PSI3_COEF) * np.sqrt(TWO_PI / ts)
     parity = np.where(kk % 2 == 1, 1.0, -1.0)  # (-1)^(K-1)
-    return z + parity * q * corr
+    return (z + parity * q * corr).reshape(shape)
 
 
 def z_function(t: float) -> float:

@@ -184,6 +184,19 @@ def test_e_scan_precision_exit(capsys, tmp_path):
     assert "precision" in err.lower() or "tol" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("e-scan", "--tmax", "nan"),
+    ("e-scan", "--tmax", "300", "--step", "nan"),
+    ("estar-scan", "--tmax", "nan", "--out", "{tmp}/scan.csv"),
+    ("short-interval", "--T", "inf", "--G", "5"),
+], ids=["e-scan-tmax", "e-scan-step", "estar-scan-tmax", "short-interval-T"])
+def test_quadrature_commands_reject_non_finite(capsys, tmp_path, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    rc, out, err = run(capsys, "--cache-dir", str(tmp_path), *argv)
+    assert rc == 2, (rc, out, err)
+    assert "Traceback" not in err and err.startswith("error:"), err
+
+
 @pytest.mark.filterwarnings("ignore::zetadiv.errors.PrecisionWarning")
 def test_estar_scan_csv_contract(capsys, tmp_path):
     cache = str(tmp_path / "cache")

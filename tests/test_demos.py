@@ -10,8 +10,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("name, expect", [
     ("01_divisor_remainder.py", "empirical growth exponent of |delta| over dyadic blocks"),
+    ("04_mean_square_three_ways.py", "accumulated error estimate"),
     ("06_estar_moments.py", "moment ratios at dyadic checkpoints"),
-], ids=["demo01", "demo06"])
+], ids=["demo01", "demo04", "demo06"])
 def test_demo_runs(name, expect):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

@@ -7,10 +7,12 @@ from zetadiv import (E_atkinson, E_balasubramanian, E_direct, E_grid,
                      InvalidArgumentError, OutOfRangeError, PrecisionWarning,
                      ResourceLimitError, ZetaMeanSquare, empirical_exponent,
                      estar_scan, fit_log_cubic, short_interval_ms, theta1)
-from zetadiv.error_terms import (ATKINSON_A, ATKINSON_A_PRIME, atkinson_e,
-                                 atkinson_f, atkinson_n_prime,
-                                 moment_scan_from_samples, smooth_window)
-from zetadiv.zeta import TWO_PI
+from zetadiv.divisor import main_term
+from zetadiv.error_terms import (ATKINSON_A, ATKINSON_A_PRIME, _gl_pieces,
+                                 _panel_count, atkinson_e, atkinson_f,
+                                 atkinson_n_prime, moment_scan_from_samples,
+                                 smooth_window)
+from zetadiv.zeta import SCAN_RS_MIN_T, TWO_PI, zeta_abs2_grid
 
 
 def test_E_direct_vanishes_at_small_T(ms_integrator):
@@ -18,59 +20,56 @@ def test_E_direct_vanishes_at_small_T(ms_integrator):
     assert abs(E_direct(0.001, integrator=ms_integrator)) < 0.05
 
 
+def simpson(a: float, b: float, npan: int) -> float:
+    """Independent oracle: composite Simpson of |zeta|^2 on [a, b], npan (even) panels."""
+    ys = zeta_abs2_grid(np.linspace(a, b, npan + 1))
+    return float((b - a) / (3 * npan)
+                 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-1:2].sum()))
+
+
 def test_E_direct_step_halving_agreement(ms_integrator):
     # independent Simpson sums at step 0.05 and 0.025 agree with each other
     # and with the cached E_direct(100)
-    from zetadiv.error_terms import _simpson, main_term
-    from zetadiv.zeta import zeta_abs2_grid
     t = 100.0
     e = E_direct(t, integrator=ms_integrator)
-    vals = []
-    for step in (0.05, 0.025):
-        npan = int(round(t / step))
-        integral = float(_simpson(zeta_abs2_grid(np.linspace(0.0, t, npan + 1)),
-                                  step, 1)[0])
-        vals.append(integral - TWO_PI * main_term(t / TWO_PI))
+    vals = [simpson(0.0, t, int(round(t / step))) - TWO_PI * main_term(t / TWO_PI)
+            for step in (0.05, 0.025)]
     assert abs(vals[0] - vals[1]) <= 0.1
     assert abs(e - vals[1]) <= 0.1
 
 
 def test_E_direct_additivity(ms_integrator):
     # [0, T2] equals [0, T1] plus an independently integrated [T1, T2]
-    from zetadiv.error_terms import _simpson
-    from zetadiv.zeta import zeta_abs2_grid
     t1, t2 = 150.0, 300.0
     i1 = ms_integrator.integral(t1)
     i2 = ms_integrator.integral(t2)
-    npan = 8192
-    piece = float(_simpson(zeta_abs2_grid(np.linspace(t1, t2, npan + 1)),
-                           (t2 - t1) / npan, 1)[0])
-    assert abs((i2 - i1) - piece) < 0.01
+    assert abs((i2 - i1) - simpson(t1, t2, 8192)) < 0.01
 
 
 def test_shared_simpson_samples_match_separate_grids():
-    # extend_to takes its coarse Simpson sums from every other fine sample;
-    # two separate integrand evaluations must give the same bits, also
-    # across the Euler-Maclaurin / Riemann-Siegel seam at t = 200
-    from zetadiv.error_terms import _simpson
-    from zetadiv.zeta import SCAN_RS_MIN_T, zeta_abs2_grid
+    # extend_to integrates a chunk group in one batched call; each piece's
+    # value must have the same bits as integrating that piece on its own,
+    # also across the Euler-Maclaurin / Riemann-Siegel seam at t = 200 (the
+    # pieces share the Euler-Maclaurin cut, which follows the largest t < 200)
     T = 300.0
     assert T > SCAN_RS_MIN_T
     ms = ZetaMeanSquare()
     ms.extend_to(T)
     n = round(T / ms.chunk)
-    m = ms._m_for(ms.chunk)
-    # one chunk group: every chunk of [0, T] shares the panel count m
-    assert all(ms._m_for((k + 1) * ms.chunk) == m for k in range(n))
-    h_c, h_f = ms.chunk / (2 * m), ms.chunk / (4 * m)
-    coarse = _simpson(zeta_abs2_grid(h_c * np.arange(n * 2 * m + 1)), h_c, n)
-    fine = _simpson(zeta_abs2_grid(h_f * np.arange(n * 4 * m + 1)), h_f, n)
-    cum, err = [0.0], [0.0]
-    for f, e in zip(fine.tolist(), (np.abs(fine - coarse) / 15.0).tolist()):
-        cum.append(cum[-1] + f)
-        err.append(err[-1] + e)
+    m = _panel_count(ms.chunk, T)
+    # one chunk group at one panel count
+    assert m == 1 and n <= 4096
+    vals, worst = _gl_pieces(ms.chunk * np.arange(n), ms.chunk, m, zeta_abs2_grid)
+    cum = [0.0]
+    for v in vals.tolist():
+        cum.append(cum[-1] + v)
     assert ms._cum == cum
-    assert ms._err == err
+    assert ms._err == [worst * k for k in range(n + 1)]
+    for starts, m in ((199.25 + 0.25 * np.arange(12), 1), (1e4 + 0.25 * np.arange(8), 3)):
+        batched, _ = _gl_pieces(starts, 0.25, m, zeta_abs2_grid)
+        alone = [_gl_pieces(starts[i:i + 1], 0.25, m, zeta_abs2_grid)[0][0]
+                 for i in range(starts.size)]
+        assert batched.tolist() == alone
 
 
 def test_panel_count_non_decreasing_in_t():
@@ -78,9 +77,59 @@ def test_panel_count_non_decreasing_in_t():
     # chunk; that count must be the largest any chunk of the group needs
     bs = np.geomspace(1.0, 1e12, 2000)
     for chunk in (0.1, 0.25, 1.0, 7.3):
-        ms = ZetaMeanSquare(chunk=chunk)
-        ms_of_b = [ms._m_for(float(b)) for b in bs]
-        assert all(x <= y for x, y in zip(ms_of_b, ms_of_b[1:])), chunk
+        counts = [_panel_count(chunk, float(b)) for b in bs]
+        assert all(x <= y for x, y in zip(counts, counts[1:])), chunk
+        # each panel spans at most 2.5 radians of the phase log(t/(2 pi))
+        assert all(chunk / m * math.log(max(b / TWO_PI, math.e)) <= 2.5 + 1e-12
+                   for m, b in zip(counts, bs))
+
+
+def gl16_split(a: float, b: float) -> float:
+    """Reference integral of |zeta|^2 on [a, b]: GL16 on 0.25-pieces also split
+    at the integrand's jumps (t = 200 and every 2 pi K^2), one vectorised call."""
+    ks = np.arange(math.ceil(math.sqrt(a / TWO_PI)), math.floor(math.sqrt(b / TWO_PI)) + 1)
+    cuts = np.unique(np.r_[np.arange(a, b, 0.25), b, TWO_PI * ks * ks, SCAN_RS_MIN_T])
+    cuts = cuts[(cuts >= a) & (cuts <= b)]
+    x, w = np.polynomial.legendre.leggauss(16)
+    lo, hi = cuts[:-1, None], cuts[1:, None]
+    ts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+    ys = zeta_abs2_grid(ts.ravel()).reshape(ts.shape)
+    return float(np.sum(ys * (0.5 * (hi - lo) * w)))
+
+
+@pytest.mark.parametrize("t0", [192.1, 250.0, 5000.0, 19000.0])
+def test_audit_estimate_bounds_window_error(t0):
+    # 64 pieces, one stride of the audit; the piece [199.85, 200.1] holds the
+    # route seam and [19006.5, 19006.75] the length change at 2 pi 55^2
+    starts = t0 + 0.25 * np.arange(64)
+    vals, worst = _gl_pieces(starts, 0.25, _panel_count(0.25, t0 + 16.0), zeta_abs2_grid)
+    ref = gl16_split(t0, t0 + 16.0)
+    # below ~1e-12 both sides are rounding: allow 16 ulp of the window integral
+    assert abs(float(np.sum(vals)) - ref) <= 64 * worst + 16 * 2.0**-52 * abs(ref)
+
+
+def test_E_direct_meets_default_tol_at_3e4(ms_integrator):
+    # the audit estimate stays far inside the default tol = 0.1 this high
+    e = E_direct(3e4, integrator=ms_integrator)
+    assert math.isfinite(e)
+    assert 0.0 < ms_integrator.error_estimate(3e4) <= 0.01
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ZetaMeanSquare(chunk=math.nan),
+    lambda: ZetaMeanSquare(chunk=math.inf),
+    lambda: ZetaMeanSquare().extend_to(math.nan),
+    lambda: ZetaMeanSquare().integral(math.inf),
+    lambda: E_direct(math.nan),
+    lambda: E_grid(math.nan),
+    lambda: E_grid(300.0, math.nan),
+    lambda: estar_scan(math.inf),
+    lambda: short_interval_ms(math.inf, 5.0),
+    lambda: short_interval_ms(1e4, math.nan),
+])
+def test_quadrature_rejects_non_finite(call):
+    with pytest.raises(InvalidArgumentError):
+        call()
 
 
 def test_stepwise_extension_matches_one_call():
@@ -197,7 +246,6 @@ def test_estar_scan_small_T_consistency(table_small):
     assert scan.E_star[0] == 0.0
     # below x = 1/4 the alternating sum is empty: delta* = -main term, so
     # the scaled column follows the smooth closed form
-    from zetadiv.divisor import main_term
     ts = scan.t[1:3]
     expected = TWO_PI * (-main_term(ts / TWO_PI))
     assert np.allclose(scan.delta_star_scaled[1:3], expected, atol=1e-12)

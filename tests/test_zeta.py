@@ -281,6 +281,17 @@ def test_rs_z_grid_k_runs_bit_identical(rng):
         assert z[i] == rs_z_grid(shuffled[i:i + 1])[0], shuffled[i]
 
 
+def test_rs_z_grid_keeps_input_shape():
+    # a 0-d and a 2-d input each give the 1-d result in the input's shape
+    flat = np.array([1000.0, 1000.5, 2345.0, 7000.25, 300.0, 5e4])
+    z = rs_z_grid(flat)
+    zero_d = rs_z_grid(1000.0)
+    assert zero_d.shape == () and zero_d == z[0]
+    two_d = rs_z_grid(flat.reshape(2, 3))
+    assert two_d.shape == (2, 3) and np.array_equal(two_d.ravel(), z)
+    assert rs_z_grid(np.zeros((0, 3))).shape == (0, 3)
+
+
 def test_scan_engine_seam_continuity():
     # the EM/RS hand-off of the scan integrand does not jump
     eps = 1e-6
