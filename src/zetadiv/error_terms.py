@@ -42,6 +42,9 @@ ATKINSON_A_PRIME = 2.0
 #: Largest Riemann-Siegel length K the O(K^2) Balasubramanian sum accepts.
 BALASU_K_CAP = 10**4
 _BALASU_BLOCK = 512
+#: Terms per block of the Atkinson sums: each temporary is 32 KiB, and at
+#: T = 1e6 the blocked sums run no slower than 2**10..2**20 blocks.
+_ATKINSON_BLOCK = 2**12
 
 #: First dyadic moment checkpoint is 2^MOMENT_J_MIN.
 MOMENT_J_MIN = 4
@@ -242,6 +245,15 @@ def atkinson_e(T, n):
     return (1.0 + x) ** (-0.25) * rx / np.arcsinh(rx)
 
 
+def _atkinson_sum(table: DivisorTable, n_max: int, terms) -> float:
+    """sum_{n<=n_max} terms(n, d(n)), in blocks of ``_ATKINSON_BLOCK`` terms."""
+    total = 0.0
+    for lo in range(1, n_max + 1, _ATKINSON_BLOCK):
+        n = np.arange(lo, min(lo + _ATKINSON_BLOCK, n_max + 1))
+        total += float(np.sum(terms(n, table.values[n].astype(np.float64))))
+    return total
+
+
 def E_atkinson(T: float, N: float | None = None, *, table: DivisorTable) -> AtkinsonEval:
     """E(T) by the Atkinson explicit formula with cutoff N (default T).
 
@@ -261,22 +273,17 @@ def E_atkinson(T: float, N: float | None = None, *, table: DivisorTable) -> Atki
     if need > table.limit:
         raise OutOfRangeError(f"divisor table limit {table.limit} < required {need}")
 
-    n1 = np.arange(1, int(math.floor(N)) + 1)
-    d1 = table.values[n1].astype(np.float64)
-    sign = np.where(n1 % 2 == 0, 1.0, -1.0)
-    amp = atkinson_e(T, n1)
-    phase = atkinson_f(T, n1)
-    sigma1 = (math.sqrt(2.0) * (T / TWO_PI) ** 0.25
-              * float(np.sum(sign * d1 * n1 ** (-0.75) * amp * np.cos(phase))))
+    def sigma1_terms(n, d):
+        sign = np.where(n % 2 == 0, 1.0, -1.0)
+        return sign * d * n ** (-0.75) * atkinson_e(T, n) * np.cos(atkinson_f(T, n))
 
-    n2 = np.arange(1, int(math.floor(n_prime)) + 1)
-    if n2.size:
-        d2 = table.values[n2].astype(np.float64)
-        lg = np.log(T / (TWO_PI * n2))
-        sigma2 = -2.0 * float(np.sum(
-            d2 * n2 ** (-0.5) / lg * np.cos(T * lg - T + math.pi / 4.0)))
-    else:
-        sigma2 = 0.0
+    def sigma2_terms(n, d):
+        lg = np.log(T / (TWO_PI * n))
+        return -2.0 * d * n ** (-0.5) / lg * np.cos(T * lg - T + math.pi / 4.0)
+
+    sigma1 = (math.sqrt(2.0) * (T / TWO_PI) ** 0.25
+              * _atkinson_sum(table, int(math.floor(N)), sigma1_terms))
+    sigma2 = _atkinson_sum(table, int(math.floor(n_prime)), sigma2_terms)
     return AtkinsonEval(T=float(T), N=N, N_prime=n_prime,
                         sigma1=sigma1, sigma2=sigma2, value=sigma1 + sigma2)
 
@@ -309,19 +316,30 @@ def E_balasubramanian(T: float) -> float:
     two_theta1_deriv = math.log(T / TWO_PI)
     s1 = 0.0
     s2 = 0.0
+    # one (block, kn) buffer each for log(n/m) then log(mn), the amplitude
+    # and the terms; every block reuses them through out= ufuncs
+    bufs = np.empty((3, min(_BALASU_BLOCK, kn), kn))
     for lo in range(0, kn, _BALASU_BLOCK):
         hi = min(lo + _BALASU_BLOCK, kn)
-        dl = logn[lo:hi, None] - logn[None, :]
-        np.fill_diagonal(dl[:, lo:hi], 1.0)  # m == n terms are zeroed below
-        amp = rsn[lo:hi, None] * rsn[None, :]
-        t1 = np.sin(T * dl) / dl * amp
-        np.fill_diagonal(t1[:, lo:hi], 0.0)
-        s1 += float(np.sum(t1))
-        sl = logn[lo:hi, None] + logn[None, :]
-        den = two_theta1_deriv - sl
-        t2 = np.sin(2.0 * th1 - T * sl) / den * amp
-        np.fill_diagonal(t2[:, lo:hi], 0.0)
-        s2 += float(np.sum(t2))
+        lg, amp, t = bufs[:, :hi - lo]
+        np.subtract(logn[lo:hi, None], logn[None, :], out=lg)
+        np.fill_diagonal(lg[:, lo:hi], 1.0)  # m == n terms are zeroed below
+        np.multiply(rsn[lo:hi, None], rsn[None, :], out=amp)
+        np.multiply(T, lg, out=t)
+        np.sin(t, out=t)
+        np.divide(t, lg, out=t)
+        np.multiply(t, amp, out=t)
+        np.fill_diagonal(t[:, lo:hi], 0.0)
+        s1 += float(np.sum(t))
+        np.add(logn[lo:hi, None], logn[None, :], out=lg)
+        np.multiply(T, lg, out=t)
+        np.subtract(2.0 * th1, t, out=t)
+        np.sin(t, out=t)
+        np.subtract(two_theta1_deriv, lg, out=lg)
+        np.divide(t, lg, out=t)
+        np.multiply(t, amp, out=t)
+        np.fill_diagonal(t[:, lo:hi], 0.0)
+        s2 += float(np.sum(t))
     return 2.0 * s1 + 2.0 * s2
 
 

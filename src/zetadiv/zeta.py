@@ -132,13 +132,15 @@ def zeta_em(s, terms: int | None = None, correction_order: int | None = None) ->
 def _zeta_half_em_grid(ts: np.ndarray) -> np.ndarray:
     """Vectorised zeta(1/2+it) over a modest grid (Euler-Maclaurin).
 
-    Cost is len(ts) * N with N ~ 1.3*max(t); intended for the t < 200
-    region of long scans and for oracle batches.
+    Cost is len(ts) * N with N = _em_terms(max(SCAN_RS_MIN_T, max|t|)),
+    intended for the t < SCAN_RS_MIN_T region of long scans.  Below that
+    seam the cut is the fixed 284, so a value does not depend on which
+    other points share its call.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0:
         return np.zeros(0, dtype=complex)
-    N = _em_terms(float(np.max(np.abs(ts))))
+    N = _em_terms(max(SCAN_RS_MIN_T, float(np.max(np.abs(ts)))))
     return _em_sum(0.5 + 1j * ts, N, _EM_ORDER)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,17 @@ def subconvexity_arrays():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture()
+def traced_peak():
+    """Run fn() under tracemalloc; return its result and the peak bytes allocated."""
+    def run(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out, peak
+    return run

@@ -1,12 +1,16 @@
+import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from zetadiv import CacheError, load_table, sieve_divisors
 from zetadiv.cli import main
 from zetadiv.zeta import zeta_em
 
@@ -163,6 +167,22 @@ def test_cache_build_hit_and_corruption(capsys, tmp_path):
     open(path, "wb").write(bytes(raw))
     rc, out, err = run(capsys, "--cache-dir", cache, "cache-table", "--limit", "6000")
     assert rc == 0 and "rebuilt" in out and "checksum" in err
+
+
+def test_cache_table_rebuilds_v1_cache(capsys, tmp_path):
+    # a hand-written version-1 file (uint32 payload) is refused, not misread
+    path = tmp_path / "divisor_table.bin"
+    values = sieve_divisors(5000).values
+    payload = values.astype("<u4").tobytes()
+    path.write_bytes(b"ZDTABLE1" + struct.pack("<IQ", 1, 5000)
+                     + hashlib.sha256(payload).digest() + payload)
+    with pytest.raises(CacheError, match="version 1"):
+        load_table(path)
+    rc, out, err = run(capsys, "--cache-dir", str(tmp_path), "cache-table", "--limit", "5000")
+    assert rc == 0 and out.startswith("cache rebuilt") and "version 1" in err
+    raw = path.read_bytes()
+    assert struct.unpack("<IQ", raw[8:20]) == (2, 5000) and len(raw) == 52 + 2 * 5001
+    assert np.array_equal(load_table(path).values, values)
 
 
 def test_cache_dir_env_var(capsys, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -70,6 +71,36 @@ def test_sieve_errors():
         sieve_divisors(0)
     with pytest.raises(ResourceLimitError):
         sieve_divisors(1000, max_limit=100)
+
+
+def test_sieve_uint16_cap_ignores_max_limit():
+    # d(n) <= 6720 below 1e12; raising max_limit does not lift that bound,
+    # and the cap is checked before the table is allocated
+    with pytest.raises(ResourceLimitError, match="uint16"):
+        sieve_divisors(10**12, max_limit=10**13)
+    with pytest.raises(ResourceLimitError, match=r"~0\.5 GiB"):
+        sieve_divisors(2**28 + 1)
+
+
+def test_sieve_uint16_matches_trial_division_to_1e7(table_big):
+    assert table_big.values.dtype == np.uint16
+    # the largest d(n) up to 1e7 does not fit in one byte
+    assert table_big.values[8_648_640] == trial_division_d(8_648_640) == 448
+    for n in np.random.default_rng(14).integers(1, 10**7 + 1, 2000).tolist():
+        d = np.arange(1, math.isqrt(n) + 1)
+        hits = d[n % d == 0]
+        assert table_big.values[n] == 2 * hits.size - (hits[-1] ** 2 == n), n
+
+
+def test_prefix_tables_allocate_only_their_output(traced_peak):
+    table = sieve_divisors(10**6)
+    for name in ("prefix", "alt_prefix"):
+        out, peak = traced_peak(getattr(table, name))
+        assert out.dtype == np.int64 and out.size == table.limit + 1
+        assert peak <= 1.05 * out.nbytes, (name, peak, out.nbytes)
+    assert table.prefix()[-1] == hyperbola_divisor_sum(10**6)
+    n = np.arange(table.limit + 1)
+    assert table.alt_prefix()[-1] == int(np.sum(np.where(n % 2 == 0, 1, -1) * table.values))
 
 
 def test_segmented_matches_plain():
@@ -222,6 +253,21 @@ def test_cache_roundtrip(tmp_path):
     # a cache smaller than the request is refused
     with pytest.raises(CacheError):
         load_table(path, limit=10**6)
+
+
+def test_cache_sliced_v2_roundtrip(tmp_path):
+    table = sieve_divisors(10**4)
+    save_table(table, tmp_path / "full.bin")
+    sliced = load_table(tmp_path / "full.bin", limit=100)
+    path = tmp_path / "sliced.bin"
+    save_table(sliced, path)
+    raw = path.read_bytes()
+    assert raw[:8] == b"ZDTABLE1" and struct.unpack("<IQ", raw[8:20]) == (2, 100)
+    assert len(raw) == 52 + 2 * 101
+    loaded = load_table(path)
+    assert loaded.limit == 100 and loaded.values.dtype == np.uint16
+    assert np.array_equal(loaded.values, table.values[:101])
+    assert not loaded.values.flags.writeable
 
 
 def test_cache_save_ignores_stale_tmp_path(tmp_path):

@@ -7,7 +7,7 @@ from zetadiv import (E_atkinson, E_balasubramanian, E_direct, E_grid,
                      InvalidArgumentError, OutOfRangeError, PrecisionWarning,
                      ResourceLimitError, ZetaMeanSquare, empirical_exponent,
                      estar_scan, fit_log_cubic, short_interval_ms, theta1)
-from zetadiv.divisor import main_term
+from zetadiv.divisor import main_term, sieve_divisors
 from zetadiv.error_terms import (ATKINSON_A, ATKINSON_A_PRIME, _gl_pieces,
                                  _panel_count, atkinson_e, atkinson_f,
                                  atkinson_n_prime, moment_scan_from_samples,
@@ -49,8 +49,8 @@ def test_E_direct_additivity(ms_integrator):
 def test_shared_simpson_samples_match_separate_grids():
     # extend_to integrates a chunk group in one batched call; each piece's
     # value must have the same bits as integrating that piece on its own,
-    # also across the Euler-Maclaurin / Riemann-Siegel seam at t = 200 (the
-    # pieces share the Euler-Maclaurin cut, which follows the largest t < 200)
+    # below, across and above the Euler-Maclaurin / Riemann-Siegel seam at
+    # t = 200 (the Euler-Maclaurin cut below the seam is fixed)
     T = 300.0
     assert T > SCAN_RS_MIN_T
     ms = ZetaMeanSquare()
@@ -65,7 +65,7 @@ def test_shared_simpson_samples_match_separate_grids():
         cum.append(cum[-1] + v)
     assert ms._cum == cum
     assert ms._err == [worst * k for k in range(n + 1)]
-    for starts, m in ((199.25 + 0.25 * np.arange(12), 1), (1e4 + 0.25 * np.arange(8), 3)):
+    for starts, m in ((ms.chunk * np.arange(n), 1), (1e4 + 0.25 * np.arange(8), 3)):
         batched, _ = _gl_pieces(starts, 0.25, m, zeta_abs2_grid)
         alone = [_gl_pieces(starts[i:i + 1], 0.25, m, zeta_abs2_grid)[0][0]
                  for i in range(starts.size)]
@@ -178,6 +178,26 @@ def test_atkinson_cutoffs(table_small):
     assert (ATKINSON_A, ATKINSON_A_PRIME) == (0.5, 2.0)
     with pytest.raises(OutOfRangeError):
         E_atkinson(2 * table_small.limit, table=table_small)
+
+
+def test_atkinson_blocked_sums_match_one_array(table_small):
+    # the sums run in blocks of n; one unblocked array is the reference
+    T = 9e4
+    n = np.arange(1, int(T) + 1)
+    d = table_small.values[n].astype(np.float64)
+    sign = np.where(n % 2 == 0, 1.0, -1.0)
+    ref = (math.sqrt(2.0) * (T / TWO_PI) ** 0.25 * float(np.sum(
+        sign * d * n ** (-0.75) * atkinson_e(T, n) * np.cos(atkinson_f(T, n)))))
+    assert abs(E_atkinson(T, table=table_small).sigma1 - ref) <= 1e-13 * abs(ref)
+
+
+def test_atkinson_temporaries_stay_small(traced_peak):
+    # at N = 1e6 one float64 array of all n is 8 MB and the unblocked sums
+    # peaked at 72 MB; the blocked sums stay under 1 MB
+    table = sieve_divisors(10**6)
+    ev, peak = traced_peak(lambda: E_atkinson(1e6, table=table))
+    assert math.isfinite(ev.value)
+    assert peak < 1e6, peak
 
 
 def test_atkinson_matches_direct(table_small, ms_integrator):
