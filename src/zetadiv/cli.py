@@ -200,8 +200,6 @@ def cmd_balasu(args) -> int:
 
 
 def _estar_table(args) -> DivisorTable:
-    if not math.isfinite(args.tmax):
-        raise InvalidArgumentError(f"--tmax must be finite, got {args.tmax!r}")
     return cache_table(int(4 * args.tmax / TWO_PI) + 2, _cache_dir(args))[0]
 
 
@@ -273,7 +271,7 @@ def cmd_exppair_report(args) -> int:
 
 def cmd_exppair_search(args) -> int:
     t0 = time.time()
-    res = search_optimal(args.depth, args.objective)
+    res = search_optimal(args.depth)
     best = res.best
     print(f"best {args.objective} = {getattr(best, args.objective)} "
           f"(~{float(getattr(best, args.objective)):.6f}) at pair "
@@ -386,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("exppair-search", help="exhaustive A/B word search")
     sp.add_argument("--depth", type=int, required=True)
     sp.add_argument("--objective", default="theta_div",
-                    choices=("theta_div", "theta_zeta"))
+                    choices=("theta_div", "theta_zeta"),
+                    help="exponent printed for the best pair (one pair minimises both)")
     sp.add_argument("--out", default=None, help="frontier CSV path")
     sp.set_defaults(func=cmd_exppair_search)
 
@@ -407,6 +406,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidArgumentError(f"--{name} must be finite, got {value!r}")
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ classical 1/3 exponent exactly when 3 lambda + kappa < 2, and any pair
 with lambda < 1 beats the convexity exponent 1/4 for zeta.
 
 ``search_optimal`` enumerates all process words over {A, B} from the seed
-pairs, deduplicates exactly, and reports the objective minimiser plus the
+pairs, deduplicates exactly, and reports the theta_div minimiser plus the
 Pareto frontier in (kappa, lambda).  ``is_process_reachable`` decides
 whether the processes derive a given pair from the seeds, at any depth,
 by walking back from the pair to a seed one process at a time.
@@ -116,9 +116,6 @@ def report(p: ExponentPair) -> ExponentReport:
                           beats_one_third=(3 * p.lam + p.kappa < 2), nontrivial=(p.lam < 1))
 
 
-_OBJECTIVES = ("theta_div", "theta_zeta")
-
-
 def pareto_frontier(pairs) -> list[ExponentPair]:
     """Non-dominated pairs minimising (kappa, lambda) componentwise."""
     front: list[ExponentPair] = []
@@ -181,38 +178,33 @@ class SearchResult:
     frontier: list[ExponentPair]
     explored: int
     best_by_depth: list[Fraction] = field(default_factory=list)
-    objective: str = "theta_div"
 
 
-def search_optimal(max_depth: int, objective: str = "theta_div", *,
-                   seeds=None) -> SearchResult:
+def search_optimal(max_depth: int, *, seeds=None) -> SearchResult:
     """Breadth-first search of all A/B words up to max_depth from the seeds.
 
     Pairs are deduplicated exactly as gcd-normalised triples; BFS
     guarantees the stored word is of minimal length (ties resolved by the
     fixed seed order, A before B, so runs are deterministic).  Among
-    equal objective values the returned minimiser takes the shortest,
+    equal theta_div values the returned minimiser takes the shortest,
     then lexicographically smallest word.  ``best_by_depth[d]`` is the
-    exact objective minimum over everything reachable within depth d,
+    exact theta_div minimum over everything reachable within depth d,
     non-increasing by construction.  Empirically the whole closure is an
     antichain in (kappa, lambda), so the Pareto frontier coincides with
     the deduplicated reachable set.
     """
-    if objective not in _OBJECTIVES:
-        raise InvalidArgumentError(f"objective must be one of {_OBJECTIVES}")
     if max_depth < 0:
         raise InvalidArgumentError("max_depth must be >= 0")
     if max_depth > MAX_SEARCH_DEPTH:
         raise ResourceLimitError(f"max_depth {max_depth} exceeds cap {MAX_SEARCH_DEPTH}")
     seen, layers = _closure(seed_pairs() if seeds is None else seeds, max_depth)
-    scale = 2 if objective == "theta_div" else 4
 
-    def theta(entry) -> Fraction:  # (kappa + lambda) / (scale (1 + kappa))
+    def theta(entry) -> Fraction:  # theta_div = (kappa + lambda) / (2 (1 + kappa))
         a, b, c = entry[0]
-        return Fraction(a + b, scale * (a + c))
+        return Fraction(a + b, 2 * (a + c))
 
     def argmin(entries) -> int:
-        """Index of the entry least in (objective, len(word), word); floats pick candidates."""
+        """Index of the entry least in (theta_div, len(word), word); floats pick candidates."""
         approx = [(a + b) / (a + c) for (a, b, c), _, _ in entries]
         least = min(approx)
         return min((i for i, x in enumerate(approx) if x == least),
@@ -226,7 +218,7 @@ def search_optimal(max_depth: int, objective: str = "theta_div", *,
              for (a, b, c), word, hyp in entries]
     del seen, layers, entries  # freed first, so the frontier sort's keys do not raise the peak
     return SearchResult(best=report(pairs[best]), frontier=pareto_frontier(pairs),
-                        explored=len(pairs), best_by_depth=best_by_depth, objective=objective)
+                        explored=len(pairs), best_by_depth=best_by_depth)
 
 
 def write_frontier_csv(pairs, path) -> None:

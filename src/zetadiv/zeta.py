@@ -379,33 +379,30 @@ def rs_z_grid(ts) -> np.ndarray:
     if envelope > RS_PHASE_ERR_MAX:
         raise PrecisionError(f"phase rounding envelope {envelope:.3e} at t={t_max!r} "
                              f"exceeds {RS_PHASE_ERR_MAX}")
-    tau = np.sqrt(ts / TWO_PI)
-    kk = np.floor(tau).astype(np.int64)
-    theta = np.asarray(rs_theta(ts), dtype=float)
+    kk = np.floor(np.sqrt(ts / TWO_PI)).astype(np.int64)
     # each K run is one slice of K-sorted data: sorted input (every scan)
-    # is used as it is, anything else goes through one stable sort
+    # is used as it is, anything else goes through one stable sort; all
+    # per-point work happens per run, so temporaries scale with the largest run
     perm = None if np.all(kk[:-1] <= kk[1:]) else np.argsort(kk, kind="stable")
-    k_s, t_s, th_s = (kk, ts, theta) if perm is None else (kk[perm], ts[perm], theta[perm])
+    k_s, t_s = (kk, ts) if perm is None else (kk[perm], ts[perm])
     k_first, k_last = int(k_s[0]), int(k_s[-1])
     edges = np.searchsorted(k_s, np.arange(k_first, k_last + 2))
     z = np.empty_like(ts)
     for K, lo, hi in zip(range(k_first, k_last + 1), edges[:-1], edges[1:]):
         if lo == hi:
             continue
-        t_sub = t_s[lo:hi]
-        th = th_s[lo:hi]
+        t = t_s[lo:hi]
+        th = rs_theta(t)
         acc = np.cos(th)  # n = 1
         for n in range(2, K + 1):
-            acc = acc + np.cos(th - t_sub * math.log(n)) / math.sqrt(n)
-        z[lo:hi] = 2.0 * acc
+            acc = acc + np.cos(th - t * math.log(n)) / math.sqrt(n)
+        x = (np.sqrt(t / TWO_PI) - K - 0.5) / 0.6  # p = frac(sqrt(t / 2 pi)), x = (p - 1/2) / 0.6
+        corr = chebval(x, _PSI_COEF) + _C1_SCALE * chebval(x, _PSI3_COEF) * np.sqrt(TWO_PI / t)
+        sign = 1.0 if K % 2 == 1 else -1.0  # (-1)^(K-1)
+        z[lo:hi] = 2.0 * acc + sign * np.power(TWO_PI / t, 0.25) * corr
     if perm is not None:
         z[perm] = z.copy()
-    p = tau - kk
-    q = np.power(TWO_PI / ts, 0.25)
-    x = (p - 0.5) / 0.6
-    corr = chebval(x, _PSI_COEF) + _C1_SCALE * chebval(x, _PSI3_COEF) * np.sqrt(TWO_PI / ts)
-    parity = np.where(kk % 2 == 1, 1.0, -1.0)  # (-1)^(K-1)
-    return (z + parity * q * corr).reshape(shape)
+    return z.reshape(shape)
 
 
 def z_function(t: float) -> float:

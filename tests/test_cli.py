@@ -209,7 +209,14 @@ def test_e_scan_precision_exit(capsys, tmp_path):
     ("e-scan", "--tmax", "300", "--step", "nan"),
     ("estar-scan", "--tmax", "nan", "--out", "{tmp}/scan.csv"),
     ("short-interval", "--T", "inf", "--G", "5"),
-], ids=["e-scan-tmax", "e-scan-step", "estar-scan-tmax", "short-interval-T"])
+    ("balasu", "--T", "nan"),
+    ("atkinson", "--T", "nan"),
+    ("voronoi", "--x", "nan", "--n", "10"),
+    ("delta-scan", "--max", "nan", "--count", "5"),
+    ("delta-scan", "--max", "inf", "--count", "5"),
+    ("e-scan", "--tmax", "300", "--tol", "nan"),
+], ids=["e-scan-tmax", "e-scan-step", "estar-scan-tmax", "short-interval-T", "balasu-T",
+        "atkinson-T", "voronoi-x", "delta-scan-max-nan", "delta-scan-max-inf", "e-scan-tol"])
 def test_quadrature_commands_reject_non_finite(capsys, tmp_path, argv):
     argv = [a.format(tmp=tmp_path) for a in argv]
     rc, out, err = run(capsys, "--cache-dir", str(tmp_path), *argv)
@@ -268,3 +275,21 @@ def test_exppair_search_cli(capsys, tmp_path):
     lines = open(out).read().splitlines()
     assert lines[0] == "kappa,lambda,word,theta_div,theta_zeta"
     assert os.path.exists(out + ".manifest.json")
+
+
+def test_exppair_search_objective_only_selects_printed_exponent(capsys, tmp_path):
+    # theta_zeta = theta_div / 2, so one search serves both: the same pair,
+    # the same frontier CSV, and the printed value halved
+    runs = {}
+    for objective in ("theta_div", "theta_zeta"):
+        out = tmp_path / f"{objective}.csv"
+        rc, text, _ = run(capsys, "exppair-search", "--depth", "10", "--objective", objective,
+                          "--out", str(out))
+        assert rc == 0
+        runs[objective] = text.splitlines(), out.read_bytes()
+    (div_lines, div_csv), (zeta_lines, zeta_csv) = runs["theta_div"], runs["theta_zeta"]
+    assert div_lines[0] == ("best theta_div = 229/696 (~0.329023) at pair "
+                            "(97/251, 132/251) word=ABAABAAAB")
+    assert zeta_lines[0] == ("best theta_zeta = 229/1392 (~0.164511) at pair "
+                             "(97/251, 132/251) word=ABAABAAAB")
+    assert div_lines[1:-1] == zeta_lines[1:-1] and div_csv == zeta_csv

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetadiv import (EULER_GAMMA, CacheError, InvalidArgumentError, OutOfRangeError,
@@ -109,6 +109,7 @@ def test_segmented_matches_plain():
     assert np.array_equal(plain.values, seg.values)
 
 
+@settings(deadline=None)  # an equality check: its segment_size=1 draws are slow by design
 @given(st.integers(1, 5000), st.integers(1, 6000))
 def test_segmented_matches_single_segment(limit, segment_size):
     one = sieve_divisors(limit, segment_size=limit + 1)

@@ -139,16 +139,9 @@ def test_search_monotone_and_beats_one_third():
     assert (res.best.pair.kappa, res.best.pair.lam) == (Fraction(97, 251), Fraction(132, 251))
 
 
-def test_search_objective_theta_zeta_consistent():
-    res = search_optimal(6, objective="theta_zeta")
-    assert res.best.theta_zeta * 2 == res.best.theta_div
-
-
 def test_search_validation():
     with pytest.raises(ResourceLimitError):
         search_optimal(25)
-    with pytest.raises(InvalidArgumentError):
-        search_optimal(5, objective="theta_max")
     with pytest.raises(InvalidArgumentError):
         search_optimal(-1)
 
@@ -240,10 +233,6 @@ def test_search_depth16_golden(tmp_path):
     out = tmp_path / "frontier.csv"
     write_frontier_csv(res.frontier, out)
     assert hashlib.sha256(out.read_bytes()).hexdigest().startswith("c5e7f723a490fc8a")
-    # the other objective halves every value and picks the same pairs, so the same CSV
-    zeta = search_optimal(16, "theta_zeta")
-    assert zeta.best.pair == best and zeta.frontier == res.frontier
-    assert zeta.best_by_depth == [v / 2 for v in res.best_by_depth]
 
 
 def test_search_keeps_hypothetical_flag_of_each_seed():

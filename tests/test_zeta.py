@@ -292,6 +292,15 @@ def test_rs_z_grid_keeps_input_shape():
     assert rs_z_grid(np.zeros((0, 3))).shape == (0, 3)
 
 
+def test_rs_z_grid_temporaries_scale_with_one_run(traced_peak):
+    # 200k sorted points in 52 K runs: beyond the output and the K index,
+    # only one run's temporaries are alive at a time
+    ts = 200.0 + 0.1 * np.arange(200_000)
+    z, peak = traced_peak(lambda: rs_z_grid(ts))
+    assert z.shape == ts.shape
+    assert peak <= 3 * z.nbytes, peak / z.nbytes
+
+
 def test_scan_engine_seam_continuity():
     # the EM/RS hand-off of the scan integrand does not jump
     eps = 1e-6
