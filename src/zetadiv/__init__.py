@@ -26,8 +26,8 @@ from .exppairs import (ExponentPair, ExponentReport, SearchResult, apply_A,
                        search_optimal, seed_pairs, write_frontier_csv)
 from .voronoi import (VoronoiSum, delta_series_target, delta_star_series_target,
                       voronoi_delta, voronoi_delta_star)
-from .zeta import (chi_factor, chi_stirling, convexity_exponent, rs_term_count,
-                   rs_theta, rs_z_grid, theta1, theta1_deriv, z_function, zeta_abs2_grid, zeta_em)
+from .zeta import (chi_factor, convexity_exponent, rs_term_count, rs_theta, rs_z_grid,
+                   theta1, z_function, zeta_abs2_grid, zeta_em)
 
 __version__ = "0.1.0"
 

@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,18 +46,6 @@ EXIT_RESOURCE = 3
 EXIT_PRECISION = 4
 
 
-@dataclass
-class RunManifest:
-    """Written once per run, alongside the outputs it describes."""
-
-    command: str
-    config: dict
-    version: str
-    wall_time_s: float
-    fitted_constants: dict
-    outputs: dict  # path -> sha256 of file bytes
-
-
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -70,11 +57,11 @@ def _sha256(path: str) -> str:
 def _write_manifest(args, t0: float, outputs, fitted_constants: dict, **config) -> None:
     """Write ``<args.out>.manifest.json`` for the run started at t0 that wrote ``outputs``."""
     echo = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    manifest = RunManifest(args.command, {**echo, **config}, __version__,
-                           time.time() - t0, fitted_constants=fitted_constants,
-                           outputs={p: _sha256(p) for p in outputs})
+    manifest = {"command": args.command, "config": {**echo, **config}, "version": __version__,
+                "wall_time_s": time.time() - t0, "fitted_constants": fitted_constants,
+                "outputs": {p: _sha256(p) for p in outputs}}  # path -> sha256 of file bytes
     with open(args.out + ".manifest.json", "w") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

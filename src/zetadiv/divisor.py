@@ -41,15 +41,11 @@ from .errors import CacheError, InvalidArgumentError, OutOfRangeError, ResourceL
 #: term needs all 16.
 EULER_GAMMA = 0.5772156649015329
 
-#: Default cap on sieve size (entries), to keep a single process well under
-#: a few GiB:  2**28 entries = 512 MiB of uint16 values.  Raise explicitly
-#: via ``sieve_divisors(..., max_limit=...)`` if you have the memory.
+#: Cap on sieve size (entries), to keep a single process well under a few
+#: GiB:  2**28 entries = 512 MiB of uint16 values.  It also keeps the uint16
+#: table exact: below 1e12, d(n) never passes 6720 (its maximum, reached at
+#: the highly composite 963,761,198,400).
 MAX_SIEVE_LIMIT = 2**28
-
-#: Limit that no ``max_limit`` lifts.  Below 1e12, d(n) never passes 6720
-#: (its maximum, reached at the highly composite 963,761,198,400), so the
-#: uint16 table cannot wrap.
-UINT16_SAFE_LIMIT = 10**12
 
 #: Default segment length of the sieve passes: 2**20 uint16 entries, 2 MiB,
 #: so each segment's strided writes stay in a core's L2 cache.  At 1e7 on a
@@ -94,8 +90,7 @@ class DivisorTable:
         return self._alt_prefix
 
 
-def sieve_divisors(limit: int, *, segment_size: int = DEFAULT_SEGMENT,
-                   max_limit: int = MAX_SIEVE_LIMIT) -> DivisorTable:
+def sieve_divisors(limit: int, *, segment_size: int = DEFAULT_SEGMENT) -> DivisorTable:
     """Sieve d(n) for 1 <= n <= limit.
 
     Uses the divisor-pairing pass: every d <= sqrt(limit) contributes +1
@@ -103,20 +98,15 @@ def sieve_divisors(limit: int, *, segment_size: int = DEFAULT_SEGMENT,
     sqrt(limit) strided passes are needed, all vectorised.  The passes run
     per fixed-length segment (``DEFAULT_SEGMENT`` entries, cache-sized) so
     the write working set stays in cache; the output array itself is
-    allocated in full (uint16, 2 bytes per entry).  ``max_limit`` caps the
-    size; ``UINT16_SAFE_LIMIT`` caps it whatever ``max_limit`` says.
+    allocated in full (uint16, 2 bytes per entry), up to ``MAX_SIEVE_LIMIT``.
     """
+    if not 1 <= limit < math.inf:
+        raise InvalidArgumentError(f"sieve limit must be finite and >= 1, got {limit}")
     limit = int(limit)
-    if limit < 1:
-        raise InvalidArgumentError(f"sieve limit must be >= 1, got {limit}")
-    if limit > max_limit:
+    if limit > MAX_SIEVE_LIMIT:
         raise ResourceLimitError(
-            f"sieve limit {limit} exceeds cap {max_limit} "
-            f"(~{2 * (max_limit + 1) / 2**30:.1f} GiB of table)")
-    if limit >= UINT16_SAFE_LIMIT:
-        raise ResourceLimitError(
-            f"sieve limit {limit} reaches {UINT16_SAFE_LIMIT}, "
-            "where d(n) may pass the uint16 table's range")
+            f"sieve limit {limit} exceeds cap {MAX_SIEVE_LIMIT} "
+            f"(~{2 * (MAX_SIEVE_LIMIT + 1) / 2**30:.1f} GiB of table)")
     if segment_size < 1:
         raise InvalidArgumentError("segment_size must be >= 1")
 
@@ -148,6 +138,8 @@ def main_term(x):
 
 def divisor_sum(table: DivisorTable, x) -> int:
     """Exact sum_{n<=x} d(n) from the table's prefix sums."""
+    if not -math.inf < x < math.inf:
+        raise InvalidArgumentError(f"divisor_sum needs finite x, got {x}")
     m = int(math.floor(x))
     if m > table.limit:
         raise OutOfRangeError(f"x={x} exceeds table limit {table.limit}")
@@ -161,6 +153,8 @@ def hyperbola_divisor_sum(x) -> int:
 
     Exact integer arithmetic; O(sqrt(x)) work.
     """
+    if not -math.inf < x < math.inf:
+        raise InvalidArgumentError(f"hyperbola_divisor_sum needs finite x, got {x}")
     m = int(math.floor(x))
     if m < 1:
         return 0
@@ -181,8 +175,8 @@ class DeltaValue:
 
 def delta(table: DivisorTable, x) -> DeltaValue:
     """Divisor remainder sum_{n<=x} d(n) - x*(log x + 2*gamma - 1) for x >= 1."""
-    if x < 1:
-        raise InvalidArgumentError(f"delta requires x >= 1, got {x}")
+    if not 1 <= x < math.inf:
+        raise InvalidArgumentError(f"delta requires finite x >= 1, got {x}")
     s = divisor_sum(table, x)
     mt = main_term(float(x))
     return DeltaValue(x=float(x), sum_d=s, main_term=mt, delta=s - mt)
@@ -191,10 +185,9 @@ def delta(table: DivisorTable, x) -> DeltaValue:
 def delta_grid(table: DivisorTable, xs: np.ndarray) -> np.ndarray:
     """Vectorised remainder values over an array of abscissae in [1, limit]."""
     xs = np.asarray(xs, dtype=float)
-    idx = np.floor(xs).astype(np.int64)
-    if xs.size and (xs.min() < 1 or idx.max() > table.limit):
+    if xs.size and not (1 <= xs.min() and xs.max() < table.limit + 1):
         raise OutOfRangeError("delta_grid abscissae must lie in [1, table.limit]")
-    return table.prefix()[idx] - main_term(xs)
+    return table.prefix()[np.floor(xs).astype(np.int64)] - main_term(xs)
 
 
 def psi(x):
@@ -218,16 +211,16 @@ def delta_via_psi(x) -> float:
     Differs from ``delta`` by a bounded term (observed well under 5 over
     [10, 1e7]); runs in O(sqrt(x)) with no divisor table.
     """
-    if x < 1:
-        raise InvalidArgumentError(f"delta_via_psi requires x >= 1, got {x}")
+    if not 1 <= x < math.inf:
+        raise InvalidArgumentError(f"delta_via_psi requires finite x >= 1, got {x}")
     r = math.isqrt(int(math.floor(x)))
     n = np.arange(1, r + 1, dtype=np.float64)
     return float(-2.0 * np.sum(psi(float(x) / n)))
 
 
 def _check_star_range(table: DivisorTable, x) -> None:
-    if x <= 0:
-        raise InvalidArgumentError(f"delta_star requires x > 0, got {x}")
+    if not 0 < x < math.inf:
+        raise InvalidArgumentError(f"delta_star requires finite x > 0, got {x}")
     if 4 * x > table.limit:
         raise OutOfRangeError(
             f"delta_star at x={x} needs the table to cover 4x={4 * x}, "
@@ -262,10 +255,9 @@ def delta_star_alternating(table: DivisorTable, x) -> float:
 def delta_star_grid(table: DivisorTable, xs: np.ndarray) -> np.ndarray:
     """Vectorised ``delta_star`` over an array of x > 0 with 4x <= limit."""
     xs = np.asarray(xs, dtype=float)
-    idx = np.floor(4 * xs).astype(np.int64)
-    if xs.size and (xs.min() <= 0 or idx.max() > table.limit):
+    if xs.size and not (0 < xs.min() and 4 * xs.max() < table.limit + 1):
         raise OutOfRangeError("delta_star_grid needs 0 < x and 4x <= table.limit")
-    return 0.5 * table.alt_prefix()[idx] - main_term(xs)
+    return 0.5 * table.alt_prefix()[np.floor(4 * xs).astype(np.int64)] - main_term(xs)
 
 
 # ---------------------------------------------------------------------------

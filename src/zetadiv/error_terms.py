@@ -113,29 +113,35 @@ class ZetaMeanSquare:
         if not 0.0 < chunk < math.inf:
             raise InvalidArgumentError(f"chunk must be positive and finite, got {chunk!r}")
         self.chunk = float(chunk)
-        self._cum = [0.0]          # cumulative integral at chunk boundaries
-        self._err = [0.0]          # cumulative audit error estimate
+        self._cum = np.zeros(1)    # cumulative integral at chunk boundaries
+        self._err = np.zeros(1)    # cumulative audit error estimate
 
     def extend_to(self, T: float) -> None:
         """Ensure the cached chunks cover [0, T]; only new chunks are computed.
 
         Groups of up to 4096 new chunks take the panel count of their last
         chunk, which no chunk's own count exceeds (one panel for the default
-        chunk below t = 2 pi e^10 ~ 1.38e5).
+        chunk below t = 2 pi e^10 ~ 1.38e5).  Each call that grows the cache
+        allocates its two arrays once, at their new length.
         """
         if not math.isfinite(T):
             raise InvalidArgumentError(f"extend_to needs finite T, got {T!r}")
         need = math.ceil(max(T, 0.0) / self.chunk)
-        k = len(self._cum) - 1
+        k = self._cum.size - 1
+        if k >= need:
+            return
+        cum, err = np.empty(need + 1), np.empty(need + 1)
+        cum[:k + 1], err[:k + 1] = self._cum, self._err
         while k < need:
             k_end = min(need, k + 4096)
             m = _panel_count(self.chunk, k_end * self.chunk)
             vals, worst = _gl_pieces(self.chunk * np.arange(k, k_end), self.chunk, m,
                                      zeta_abs2_grid)
             # cumsum adds in sequence, as a running float sum would
-            self._cum += np.cumsum(np.r_[self._cum[-1], vals])[1:].tolist()
-            self._err += (self._err[-1] + worst * np.arange(1, k_end - k + 1)).tolist()
+            cum[k + 1:k_end + 1] = np.cumsum(np.r_[cum[k], vals])[1:]
+            err[k + 1:k_end + 1] = err[k] + worst * np.arange(1, k_end - k + 1)
             k = k_end
+        self._cum, self._err = cum, err
 
     def integral(self, T: float) -> float:
         """integral_0^T Z(t)^2 dt (extends the cache as needed)."""
@@ -143,7 +149,7 @@ class ZetaMeanSquare:
             raise InvalidArgumentError(f"integral needs finite T >= 0, got {T!r}")
         self.extend_to(T)
         k = int(T / self.chunk)
-        base = self._cum[k]
+        base = float(self._cum[k])
         a = k * self.chunk
         if T > a + 1e-12 * max(1.0, T):
             base += float(_gl_sum(np.array([a]), T - a, _panel_count(T - a, T),
@@ -153,12 +159,12 @@ class ZetaMeanSquare:
     def error_estimate(self, T: float) -> float:
         """Accumulated audit error estimate of the cached prefix at T."""
         self.extend_to(T)
-        return self._err[int(T / self.chunk)]
+        return float(self._err[int(T / self.chunk)])
 
     def grid_values(self, n: int) -> np.ndarray:
         """Cumulative integral at the chunk boundaries 0, c, 2c, ..., n*c."""
         self.extend_to(n * self.chunk)
-        return np.asarray(self._cum[:n + 1])
+        return self._cum[:n + 1].copy()
 
 
 #: Process-wide quadrature cache of E_direct (grown lazily, never shrunk).
@@ -174,10 +180,10 @@ def E_direct(T: float, *, tol: float = 0.1,
     """
     if not 0.0 <= T < math.inf:
         raise InvalidArgumentError(f"E_direct needs finite T >= 0, got {T!r}")
+    if not 0.0 < tol < math.inf:
+        raise InvalidArgumentError(f"tolerance must be positive and finite, got {tol!r}")
     if T == 0:
         return 0.0
-    if tol <= 0:
-        raise PrecisionError("tolerance must be positive")
     integ = integrator if integrator is not None else _shared_integrator
     val = integ.integral(T)
     err = integ.error_estimate(T)
@@ -300,8 +306,8 @@ def E_balasubramanian(T: float) -> float:
     both over m != n, doubled.  O(K^2) work, blocked to keep memory flat;
     K above ``BALASU_K_CAP`` raises ResourceLimitError.  Remainder O(log^2 T).
     """
-    if T <= 0:
-        raise InvalidArgumentError("E_balasubramanian needs T > 0")
+    if not 0.0 < T < math.inf:
+        raise InvalidArgumentError(f"E_balasubramanian needs finite T > 0, got {T!r}")
     K = math.sqrt(T / TWO_PI)
     if K > BALASU_K_CAP:
         raise ResourceLimitError(

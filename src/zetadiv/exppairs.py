@@ -143,26 +143,21 @@ def _children(a: int, b: int, c: int) -> tuple[tuple[int, int, int], tuple[int, 
     return _normalise(a, a + b + c, 2 * (a + c)), _normalise(2 * b - c, 2 * a + c, 2 * c)
 
 
-def _closure(seeds, max_depth: int) -> tuple[dict, list[list[tuple]]]:
-    """Breadth-first A/B closure of the seeds on triples, words up to max_depth long.
+def _closure(max_depth: int) -> tuple[dict, list[list[tuple]]]:
+    """Breadth-first A/B closure of the seed pairs on triples, words up to max_depth long.
 
     Returns a dict from each reached triple to its entry (triple, first word
-    found, hypothetical flag of its seed) and the entries first reached at
-    each depth, ending at the last nonempty one.
+    found) and the entries first reached at each depth, ending at the last
+    nonempty one.
     """
-    seen: dict[tuple[int, int, int], tuple] = {}
-    for s in seeds:  # a repeated seed keeps its least (len(word), word) entry
-        key = _triple(s.kappa, s.lam)
-        old = seen.get(key)
-        if old is None or (len(s.word), s.word) < (len(old[1]), old[1]):
-            seen[key] = (key, s.word, s.hypothetical)
+    seen = {key: (key, "") for key in (_triple(s.kappa, s.lam) for s in seed_pairs())}
     layers: list[list[tuple]] = [list(seen.values())]
     for _depth in range(max_depth):
         nxt = []
-        for (a, b, c), word, hyp in layers[-1]:
+        for (a, b, c), word in layers[-1]:
             for child, step in zip(_children(a, b, c), "AB"):
                 if child not in seen:
-                    seen[child] = entry = (child, word + step, hyp)
+                    seen[child] = entry = (child, word + step)
                     nxt.append(entry)
         if not nxt:
             break
@@ -180,8 +175,8 @@ class SearchResult:
     best_by_depth: list[Fraction] = field(default_factory=list)
 
 
-def search_optimal(max_depth: int, *, seeds=None) -> SearchResult:
-    """Breadth-first search of all A/B words up to max_depth from the seeds.
+def search_optimal(max_depth: int) -> SearchResult:
+    """Breadth-first search of all A/B words up to max_depth from the seed pairs.
 
     Pairs are deduplicated exactly as gcd-normalised triples; BFS
     guarantees the stored word is of minimal length (ties resolved by the
@@ -197,7 +192,7 @@ def search_optimal(max_depth: int, *, seeds=None) -> SearchResult:
         raise InvalidArgumentError("max_depth must be >= 0")
     if max_depth > MAX_SEARCH_DEPTH:
         raise ResourceLimitError(f"max_depth {max_depth} exceeds cap {MAX_SEARCH_DEPTH}")
-    seen, layers = _closure(seed_pairs() if seeds is None else seeds, max_depth)
+    seen, layers = _closure(max_depth)
 
     def theta(entry) -> Fraction:  # theta_div = (kappa + lambda) / (2 (1 + kappa))
         a, b, c = entry[0]
@@ -205,7 +200,7 @@ def search_optimal(max_depth: int, *, seeds=None) -> SearchResult:
 
     def argmin(entries) -> int:
         """Index of the entry least in (theta_div, len(word), word); floats pick candidates."""
-        approx = [(a + b) / (a + c) for (a, b, c), _, _ in entries]
+        approx = [(a + b) / (a + c) for (a, b, c), _ in entries]
         least = min(approx)
         return min((i for i, x in enumerate(approx) if x == least),
                    key=lambda i: (theta(entries[i]), len(entries[i][1]), entries[i][1]))
@@ -214,8 +209,7 @@ def search_optimal(max_depth: int, *, seeds=None) -> SearchResult:
     best_by_depth += [best_by_depth[-1]] * (max_depth + 1 - len(best_by_depth))
     entries = list(seen.values())
     best = argmin(entries)
-    pairs = [ExponentPair(Fraction(a, c), Fraction(b, c), word, hyp)
-             for (a, b, c), word, hyp in entries]
+    pairs = [ExponentPair(Fraction(a, c), Fraction(b, c), word) for (a, b, c), word in entries]
     del seen, layers, entries  # freed first, so the frontier sort's keys do not raise the peak
     return SearchResult(best=report(pairs[best]), frontier=pareto_frontier(pairs),
                         explored=len(pairs), best_by_depth=best_by_depth)

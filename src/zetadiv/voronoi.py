@@ -39,10 +39,10 @@ class VoronoiSum:
 
 
 def _terms(table: DivisorTable, x: float, N: int, alternating: bool) -> np.ndarray:
-    if N < 2:
-        raise InvalidArgumentError(f"truncation N must be >= 2, got {N}")
-    if x < 2:
-        raise InvalidArgumentError(f"x must be >= 2, got {x}")
+    if not 2 <= N < math.inf:
+        raise InvalidArgumentError(f"truncation N must be finite and >= 2, got {N}")
+    if not 2 <= x < math.inf:
+        raise InvalidArgumentError(f"x must be finite and >= 2, got {x}")
     n_max = int(math.floor(N))
     if n_max > table.limit:
         raise OutOfRangeError(f"N={N} exceeds divisor table limit {table.limit}")

@@ -15,8 +15,8 @@ Three routes are provided and cross-validated against each other:
                    Riemann-Siegel above.
 
 Also here: the functional-equation factor chi(s) with zeta(s) =
-chi(s) * zeta(1-s), its Stirling approximation, the phase theta1(T) =
-(T/2) log(T/(2 pi)) - T/2 - pi/8, and the convexity exponent (1-sigma)/2.
+chi(s) * zeta(1-s), the phase theta1(T) = (T/2) log(T/(2 pi)) - T/2 - pi/8,
+and the convexity exponent (1-sigma)/2.
 
 The module needs numpy only.  The exact phase ``rs_theta`` is the real-t
 asymptotic series of theta from t = 12 on; below that, and inside
@@ -231,19 +231,6 @@ def chi_factor(s) -> complex:
     return complex(np.exp(log_chi))
 
 
-def chi_stirling(s) -> complex:
-    """Leading Stirling approximation (2 pi / t)^(s - 1/2) e^(i(t + pi/4)).
-
-    Valid for t = Im s > 0 fixed sigma; relative error O(1/t).
-    """
-    s = complex(s)
-    t = s.imag
-    if t <= 0:
-        raise InvalidArgumentError("chi_stirling needs Im s > 0")
-    return complex(np.exp((s - 0.5) * (math.log(TWO_PI) - math.log(t))
-                          + 1j * (t + math.pi / 4)))
-
-
 def convexity_exponent(sigma: float) -> float:
     """Phragmen-Lindelof exponent (1 - sigma)/2 on the critical strip."""
     if not 0.0 <= sigma <= 1.0:
@@ -257,16 +244,9 @@ def convexity_exponent(sigma: float) -> float:
 
 def theta1(T: float) -> float:
     """Leading phase theta1(T) = (T/2) log(T/(2 pi)) - T/2 - pi/8."""
-    if T <= 0:
-        raise InvalidArgumentError(f"theta1 requires T > 0, got {T}")
+    if not 0.0 < T < math.inf:
+        raise InvalidArgumentError(f"theta1 requires finite T > 0, got {T}")
     return 0.5 * T * math.log(T / TWO_PI) - 0.5 * T - math.pi / 8.0
-
-
-def theta1_deriv(T: float) -> float:
-    """d/dT of theta1: (1/2) log(T/(2 pi))."""
-    if T <= 0:
-        raise InvalidArgumentError(f"theta1_deriv requires T > 0, got {T}")
-    return 0.5 * math.log(T / TWO_PI)
 
 
 #: rs_theta uses its real-t series from here up.  The first omitted term,

@@ -71,7 +71,8 @@ def test_delta_scan_deterministic_with_manifest(capsys, tmp_path):
     assert mani["config"]["max"] == 2000.0
     import hashlib
     assert mani["outputs"][out1] == hashlib.sha256(open(out1, "rb").read()).hexdigest()
-    assert "version" in mani and "wall_time_s" in mani
+    assert set(mani) == {"command", "config", "fitted_constants", "outputs", "version",
+                         "wall_time_s"}
 
 
 def test_delta_scan_stdout_rows_are_plain_floats(capsys, tmp_path):

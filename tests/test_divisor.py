@@ -70,14 +70,14 @@ def test_sieve_errors():
     with pytest.raises(InvalidArgumentError):
         sieve_divisors(0)
     with pytest.raises(ResourceLimitError):
-        sieve_divisors(1000, max_limit=100)
+        sieve_divisors(10**12)
 
 
 def test_sieve_uint16_cap_ignores_max_limit():
-    # d(n) <= 6720 below 1e12; raising max_limit does not lift that bound,
-    # and the cap is checked before the table is allocated
-    with pytest.raises(ResourceLimitError, match="uint16"):
-        sieve_divisors(10**12, max_limit=10**13)
+    # d(n) <= 6720 below 1e12, and the one cap lies far below that; it is
+    # checked before the table is allocated
+    with pytest.raises(ResourceLimitError, match="exceeds cap"):
+        sieve_divisors(10**12)
     with pytest.raises(ResourceLimitError, match=r"~0\.5 GiB"):
         sieve_divisors(2**28 + 1)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,13 +64,26 @@ def test_shared_simpson_samples_match_separate_grids():
     cum = [0.0]
     for v in vals.tolist():
         cum.append(cum[-1] + v)
-    assert ms._cum == cum
-    assert ms._err == [worst * k for k in range(n + 1)]
+    assert ms._cum.tolist() == cum
+    assert ms._err.tolist() == [worst * k for k in range(n + 1)]
     for starts, m in ((ms.chunk * np.arange(n), 1), (1e4 + 0.25 * np.arange(8), 3)):
         batched, _ = _gl_pieces(starts, 0.25, m, zeta_abs2_grid)
         alone = [_gl_pieces(starts[i:i + 1], 0.25, m, zeta_abs2_grid)[0][0]
                  for i in range(starts.size)]
         assert batched.tolist() == alone
+
+
+def test_mean_square_cache_holds_two_floats_per_chunk(ms_integrator):
+    # two float64 arrays hold 16 bytes per chunk; Python lists of floats held 65.5
+    ms_integrator.extend_to(2e4)  # warm: every lazy table and import is in place
+    tracemalloc.start()
+    try:
+        ms = ZetaMeanSquare()
+        ms.extend_to(2e4)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 40 * round(2e4 / ms.chunk)
 
 
 def test_panel_count_non_decreasing_in_t():

@@ -117,15 +117,15 @@ def test_nontrivial_flag():
 
 
 def test_search_depth1_from_standard_seed():
-    res = search_optimal(1, seeds=[STD])
-    # enumeration: the seed itself (1/3), A-child (1/6,2/3) -> 5/14,
-    # B-child (0,1) -> 1/2; the seed is already optimal
-    assert res.best.theta_div == Fraction(1, 3)
-    assert res.best.pair.word == ""
-    vals = {(p.kappa, p.lam): report(p).theta_div for p in res.frontier}
-    assert vals[(Fraction(1, 6), Fraction(2, 3))] == Fraction(5, 14)
-    assert vals[(Fraction(0), Fraction(1))] == Fraction(1, 2)
-    assert res.explored == 3
+    # the four seeds are distinct, and five of their eight children are seeds
+    # again ((1/6, 2/3) = A(1/2, 1/2) among them), so depth 1 adds three
+    # pairs and depth 2 four more.  The seed (11/30, 16/30) stays optimal
+    for depth, explored in ((0, 4), (1, 7), (2, 11)):
+        res = search_optimal(depth)
+        assert res.explored == explored
+        assert res.best.theta_div == Fraction(27, 82)
+        assert res.best.pair.word == ""
+        assert res.best_by_depth == [Fraction(27, 82)] * (depth + 1)
 
 
 def test_search_monotone_and_beats_one_third():
@@ -235,30 +235,3 @@ def test_search_depth16_golden(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest().startswith("c5e7f723a490fc8a")
 
 
-def test_search_keeps_hypothetical_flag_of_each_seed():
-    lind = search_optimal(3, seeds=[ExponentPair(Fraction(0), HALF, hypothetical=True)])
-    assert lind.explored == 7
-    assert [(p.kappa, p.lam, p.word, p.hypothetical) for p in lind.frontier] == [
-        (Fraction(0), HALF, "", True)]
-    assert lind.best.pair.hypothetical
-    # children inherit the flag of the seed they descend from
-    res = search_optimal(3, seeds=[ExponentPair(Fraction(1, 5), Fraction(3, 5), hypothetical=True),
-                                   STD])
-    got = [(str(p.kappa), str(p.lam), p.word, p.hypothetical) for p in res.frontier]
-    assert got == [
-        ("0", "1", "B", False), ("1/54", "49/54", "AAA", True), ("1/46", "41/46", "BAA", True),
-        ("1/30", "13/15", "AAA", False), ("1/26", "11/13", "AA", True),
-        ("1/22", "9/11", "BA", True), ("1/14", "11/14", "AA", False), ("1/12", "3/4", "A", True),
-        ("1/10", "7/10", "B", True), ("1/6", "2/3", "A", False), ("1/5", "3/5", "", True),
-        ("1/4", "7/12", "AB", True), ("2/7", "4/7", "AAB", False), ("7/22", "6/11", "BAB", True),
-        ("9/26", "7/13", "AAB", True), ("1/2", "1/2", "", False)]
-    assert res.explored == 17
-    assert (res.best.pair.word, res.best.pair.hypothetical) == ("BAB", True)
-
-
-def test_repeated_seed_expands_its_stored_word():
-    # the copy with the least (len(word), word) is stored and is the one expanded
-    single = search_optimal(2, seeds=[STD])
-    dup = search_optimal(2, seeds=[ExponentPair(HALF, HALF, word="X"), STD])
-    assert sorted(p.word for p in dup.frontier) == ["", "A", "AA", "B"]
-    assert dup.frontier == single.frontier and dup.explored == single.explored

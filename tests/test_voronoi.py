@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from zetadiv import (InvalidArgumentError, OutOfRangeError, delta, delta_star,
-                     delta_series_target, delta_star_series_target, voronoi_delta,
-                     voronoi_delta_star)
+from zetadiv import (E_balasubramanian, E_direct, InvalidArgumentError, OutOfRangeError,
+                     delta, delta_grid, delta_star, delta_star_alternating, delta_star_grid,
+                     delta_series_target, delta_star_series_target, delta_via_psi,
+                     divisor_sum, hyperbola_divisor_sum, sieve_divisors, theta1,
+                     voronoi_delta, voronoi_delta_star)
 
 COEF = 1.0 / (math.pi * math.sqrt(2.0))
 
@@ -123,3 +125,32 @@ def test_large_N_convergence(table_small):
     r1 = abs(voronoi_delta(table_small, x, 10**4).value - delta(table_small, x).delta)
     r2 = abs(voronoi_delta(table_small, x, 10**5).value - delta(table_small, x).delta)
     assert r2 < r1
+
+
+NON_FINITE_CALLS = {
+    "delta": lambda t, v: delta(t, v),
+    "divisor_sum": lambda t, v: divisor_sum(t, v),
+    "hyperbola_divisor_sum": lambda t, v: hyperbola_divisor_sum(v),
+    "delta_via_psi": lambda t, v: delta_via_psi(v),
+    "delta_star": lambda t, v: delta_star(t, v),
+    "delta_star_alternating": lambda t, v: delta_star_alternating(t, v),
+    "delta_grid": lambda t, v: delta_grid(t, np.array([v])),
+    "delta_star_grid": lambda t, v: delta_star_grid(t, np.array([v])),
+    "delta_series_target": lambda t, v: delta_series_target(t, v),
+    "delta_star_series_target": lambda t, v: delta_star_series_target(t, v),
+    "voronoi_delta-x": lambda t, v: voronoi_delta(t, v, 10),
+    "voronoi_delta-N": lambda t, v: voronoi_delta(t, 500.0, v),
+    "voronoi_delta_star-x": lambda t, v: voronoi_delta_star(t, v, 10),
+    "sieve_divisors": lambda t, v: sieve_divisors(v),
+    "E_balasubramanian": lambda t, v: E_balasubramanian(v),
+    "theta1": lambda t, v: theta1(v),
+    "E_direct-tol": lambda t, v: E_direct(300.0, tol=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_non_finite_input_raises_invalid_argument(table_small, name, value):
+    # neither a bare ValueError, OverflowError or IndexError, nor a nan result
+    with pytest.raises(InvalidArgumentError):
+        NON_FINITE_CALLS[name](table_small, value)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from zetadiv import (InvalidArgumentError, OutOfRangeError, PrecisionError, chi_factor,
-                     chi_stirling, convexity_exponent, rs_term_count, rs_theta, rs_z_grid,
-                     theta1, theta1_deriv, z_function, zeta_abs2_grid, zeta_em)
+                     convexity_exponent, rs_term_count, rs_theta, rs_z_grid, theta1,
+                     z_function, zeta_abs2_grid, zeta_em)
 from zetadiv.zeta import (RS_CROSSOVER_T, RS_PHASE_ERR_MAX, SCAN_RS_MIN_T,
                           THETA_SERIES_MIN_T, TWO_PI, _log_gamma, _phase_rounding_envelope)
 
@@ -36,18 +36,11 @@ def test_theta1_closed_values():
     assert abs(theta1(4 * math.pi) - expected) < 1e-12
 
 
-def test_theta1_derivative_finite_difference():
-    T, h = 1000.0, 1e-3
-    fd = (theta1(T + h) - theta1(T - h)) / (2 * h)
-    assert abs(fd - theta1_deriv(T)) < 1e-6
-    assert abs(theta1_deriv(T) - 0.5 * math.log(T / TWO_PI)) == 0.0
-
-
 def test_theta1_domain():
     with pytest.raises(InvalidArgumentError):
         theta1(0.0)
     with pytest.raises(InvalidArgumentError):
-        theta1_deriv(-3.0)
+        theta1(-3.0)
 
 
 def test_theta1_stable_at_large_T():
@@ -84,15 +77,6 @@ def test_chi_reflection_random(rng):
         if abs(s.imag) < 0.5:  # keep clear of the real-axis special points
             continue
         assert abs(chi_factor(s) * chi_factor(1 - s) - 1.0) <= 1e-9, s
-
-
-def test_chi_stirling_accuracy():
-    s = 0.5 + 50j
-    rel = abs(chi_stirling(s) - chi_factor(s)) / abs(chi_factor(s))
-    assert rel <= 0.05
-    # O(1/t): an order of magnitude higher t is about an order better
-    rel2 = abs(chi_stirling(0.5 + 500j) - chi_factor(0.5 + 500j)) / abs(chi_factor(0.5 + 500j))
-    assert rel2 < rel / 3
 
 
 def test_chi_poles_and_special_points():
