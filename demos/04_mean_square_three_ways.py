@@ -13,13 +13,12 @@ from zetadiv import (E_atkinson, E_balasubramanian, E_direct, ZetaMeanSquare,
                      sieve_divisors)
 
 table = sieve_divisors(6000)
-integ = ZetaMeanSquare()  # one shared quadrature cache, extended in place
 
 print("      T    E_direct   E_atkinson  (sigma1, sigma2, N')     E_balasu   "
       "dev/log^2 T")
 C = 0.0
 for T in (100.0, 300.0, 1000.0, 3000.0, 5000.0):
-    ed = E_direct(T, integrator=integ)
+    ed = E_direct(T)  # one process-wide quadrature cache, extended in place
     ea = E_atkinson(T, table=table)
     eb = E_balasubramanian(T)
     l2 = math.log(T) ** 2
@@ -31,6 +30,7 @@ for T in (100.0, 300.0, 1000.0, 3000.0, 5000.0):
 print(f"\nshared fitted remainder constant C = {C:.4f} (acceptance cap: 20)")
 
 print("\nthe quadrature cache is incremental: extending [0, 5000] to [0, 5500]")
+integ = ZetaMeanSquare()  # a private cache
 before = integ.integral(5000.0)
 after = integ.integral(5500.0)
 print(f"  integral grows by {after - before:.3f}; "

@@ -1,9 +1,8 @@
 """Reproduction of the acceptance criteria, shared by pytest and the CLI.
 
 Each ``criterion_N`` returns (ok, detail); ``run_criterion`` dispatches by
-number and prints the standard one-line verdict.  Heavyweight inputs
-(divisor tables, quadrature caches) are built on demand but can be passed
-in for reuse.
+number and prints the standard one-line verdict.  Each criterion builds
+its own inputs (divisor tables, quadrature caches).
 
 Criterion 6's running-max slope clause is implemented exactly as stated
 and fails on honest data at this height range; see the known-red
@@ -18,12 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .divisor import (DivisorTable, delta, delta_grid, delta_star,
-                      delta_star_alternating, delta_via_psi, divisor_sum,
-                      hyperbola_divisor_sum, sieve_divisors)
-from .error_terms import (ZetaMeanSquare, cross_formula_constant, empirical_exponent,
-                          estar_scan, fit_log_cubic, moment_scan_from_samples,
-                          short_interval_ms)
+from .divisor import (delta, delta_grid, delta_star, delta_star_alternating,
+                      delta_via_psi, divisor_sum, hyperbola_divisor_sum, sieve_divisors)
+from .error_terms import (cross_formula_constant, empirical_exponent, estar_scan,
+                          fit_log_cubic, moment_scan_from_samples, short_interval_ms)
 from .exppairs import ExponentPair, report, search_optimal
 from .voronoi import voronoi_delta, voronoi_delta_star
 from .zeta import TWO_PI, chi_factor, z_function, zeta_abs2_grid, zeta_em
@@ -46,10 +43,9 @@ def criterion_1() -> tuple[bool, str]:
     return ok, detail
 
 
-def criterion_2(table: DivisorTable | None = None) -> tuple[bool, str]:
+def criterion_2() -> tuple[bool, str]:
     """Divisor identity suite on [1, 1e7]."""
-    if table is None:
-        table = sieve_divisors(10**7)
+    table = sieve_divisors(10**7)
     rng = np.random.default_rng(112)
     mismatches = sum(
         1 for x in rng.integers(1, 10**7 + 1, 1000)
@@ -84,10 +80,9 @@ def _median_residuals(table, fn, ref, Ns):
     return med, slope
 
 
-def criterion_3(table: DivisorTable | None = None) -> tuple[bool, str]:
+def criterion_3() -> tuple[bool, str]:
     """Truncated-expansion convergence for both remainders at x ~ 1e4."""
-    if table is None:
-        table = sieve_divisors(10**5)
+    table = sieve_divisors(10**5)
     Ns = [100, 1000, 10000]
     med, slope = _median_residuals(table, voronoi_delta,
                                    lambda x: delta(table, x).delta, Ns)
@@ -124,15 +119,10 @@ def criterion_4() -> tuple[bool, str]:
     return ok, detail
 
 
-def criterion_5(table: DivisorTable | None = None,
-                integrator: ZetaMeanSquare | None = None) -> tuple[bool, str]:
+def criterion_5() -> tuple[bool, str]:
     """Three-formula consistency for E(T) with one fitted constant."""
-    if table is None:
-        table = sieve_divisors(6000)
-    if integrator is None:
-        integrator = ZetaMeanSquare()
     fit = cross_formula_constant((100.0, 300.0, 1000.0, 3000.0, 5000.0),
-                                 table=table, integrator=integrator)
+                                 table=sieve_divisors(6000))
     rows = [f"T={r['T']:.0f}: {r['E_direct']:+.2f}/{r['E_atkinson']:+.2f}/"
             f"{r['E_balasubramanian']:+.2f}" for r in fit["rows"]]
     return fit["C"] <= 20.0, f"fitted C = {fit['C']:.4f} (<= 20); " + "; ".join(rows)
@@ -176,10 +166,9 @@ def criterion_6() -> tuple[bool, str]:
     return slope_ok and short_ok, detail
 
 
-def criterion_7(table: DivisorTable | None = None,
-                tmax: float = 2e4) -> tuple[bool, str]:
+def criterion_7(tmax: float = 2e4) -> tuple[bool, str]:
     """E* moment suite on [0, tmax] at grid step 0.25."""
-    scan = estar_scan(tmax, 0.25, table=table)
+    scan = estar_scan(tmax, 0.25)
     ok = True
     details = []
     moments = {k: moment_scan_from_samples(scan.t, scan.E_star, k) for k in (2, 4, 5)}

@@ -133,7 +133,10 @@ def cmd_delta_scan(args) -> int:
 
 
 def cmd_voronoi(args) -> int:
-    limit = max(int(args.n), int(math.ceil(4 * args.x)) + 2)
+    # the sum reads d(1..N); the series target reads the table up to x (4x for delta*)
+    limit = args.n
+    if args.compare:
+        limit = max(limit, math.ceil(4 * args.x if args.star else args.x))
     table, _, _ = cache_table(limit, _cache_dir(args))
     fn = voronoi_delta_star if args.star else voronoi_delta
     v = fn(table, args.x, args.n)

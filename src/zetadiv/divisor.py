@@ -47,7 +47,7 @@ EULER_GAMMA = 0.5772156649015329
 #: the highly composite 963,761,198,400).
 MAX_SIEVE_LIMIT = 2**28
 
-#: Default segment length of the sieve passes: 2**20 uint16 entries, 2 MiB,
+#: Segment length of the sieve passes: 2**20 uint16 entries, 2 MiB,
 #: so each segment's strided writes stay in a core's L2 cache.  At 1e7 on a
 #: 2-vCPU Xeon (2 MiB of L2 per core), 2**18..2**21 took median 0.30, 0.22,
 #: 0.21 and 0.22 s.
@@ -90,7 +90,7 @@ class DivisorTable:
         return self._alt_prefix
 
 
-def sieve_divisors(limit: int, *, segment_size: int = DEFAULT_SEGMENT) -> DivisorTable:
+def sieve_divisors(limit: int) -> DivisorTable:
     """Sieve d(n) for 1 <= n <= limit.
 
     Uses the divisor-pairing pass: every d <= sqrt(limit) contributes +1
@@ -107,12 +107,10 @@ def sieve_divisors(limit: int, *, segment_size: int = DEFAULT_SEGMENT) -> Diviso
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds cap {MAX_SIEVE_LIMIT} "
             f"(~{2 * (MAX_SIEVE_LIMIT + 1) / 2**30:.1f} GiB of table)")
-    if segment_size < 1:
-        raise InvalidArgumentError("segment_size must be >= 1")
 
     values = np.zeros(limit + 1, dtype=np.uint16)
-    for lo in range(1, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
+    for lo in range(1, limit + 1, DEFAULT_SEGMENT):
+        hi = min(lo + DEFAULT_SEGMENT, limit + 1)
         seg = values[lo:hi]
         for d in range(1, math.isqrt(hi - 1) + 1):
             sq = d * d

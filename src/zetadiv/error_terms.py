@@ -171,9 +171,8 @@ class ZetaMeanSquare:
 _shared_integrator = ZetaMeanSquare()
 
 
-def E_direct(T: float, *, tol: float = 0.1,
-             integrator: ZetaMeanSquare | None = None) -> float:
-    """E(T) by direct quadrature of Z(t)^2, on one process-wide cache by default.
+def E_direct(T: float, *, tol: float = 0.1) -> float:
+    """E(T) by direct quadrature of Z(t)^2, on the one process-wide cache.
 
     The cached cumulative error at T must come in under ``tol`` or a
     PrecisionError is raised.
@@ -182,11 +181,8 @@ def E_direct(T: float, *, tol: float = 0.1,
         raise InvalidArgumentError(f"E_direct needs finite T >= 0, got {T!r}")
     if not 0.0 < tol < math.inf:
         raise InvalidArgumentError(f"tolerance must be positive and finite, got {tol!r}")
-    if T == 0:
-        return 0.0
-    integ = integrator if integrator is not None else _shared_integrator
-    val = integ.integral(T)
-    err = integ.error_estimate(T)
+    val = _shared_integrator.integral(T)
+    err = _shared_integrator.error_estimate(T)
     if err > tol:
         raise PrecisionError(f"quadrature error estimate {err:.3e} exceeds tol {tol} at T={T}")
     return val - TWO_PI * main_term(T / TWO_PI)
@@ -313,8 +309,6 @@ def E_balasubramanian(T: float) -> float:
         raise ResourceLimitError(
             f"K={K:.0f} exceeds cap {BALASU_K_CAP} (O(K^2) double sum)")
     kn = int(math.floor(K))
-    if kn < 1:
-        return 0.0
     n = np.arange(1, kn + 1, dtype=np.float64)
     logn = np.log(n)
     rsn = 1.0 / np.sqrt(n)
@@ -574,8 +568,7 @@ def empirical_exponent(ts, values) -> float:
     return slope
 
 
-def cross_formula_constant(Ts, *, table: DivisorTable,
-                           integrator: ZetaMeanSquare | None = None) -> dict:
+def cross_formula_constant(Ts, *, table: DivisorTable) -> dict:
     """Fit the shared remainder constant C of the three E(T) formulas.
 
     C is the maximum over the sample points of |E_direct - E_atkinson| and
@@ -585,7 +578,7 @@ def cross_formula_constant(Ts, *, table: DivisorTable,
     rows = []
     c = 0.0
     for T in Ts:
-        ed = E_direct(T, integrator=integrator)
+        ed = E_direct(T)
         ea = E_atkinson(T, table=table).value
         eb = E_balasubramanian(T)
         l2 = math.log(T) ** 2

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zetadiv import ZetaMeanSquare, acceptance, sieve_divisors
+from zetadiv import acceptance, sieve_divisors
 
 
 @pytest.fixture(scope="session")
@@ -16,12 +16,6 @@ def table_small():
 def table_big():
     """Divisor table to 1e7 for the full divisor identity suite."""
     return sieve_divisors(10**7)
-
-
-@pytest.fixture(scope="session")
-def ms_integrator():
-    """Shared cumulative quadrature cache (default 0.25 chunks)."""
-    return ZetaMeanSquare()
 
 
 @pytest.fixture(scope="session")

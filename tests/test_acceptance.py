@@ -24,14 +24,14 @@ def test_criterion_1_exponent_goldens():
     assert ok, detail
 
 
-def test_criterion_2_divisor_identities(table_big):
-    ok, detail = acceptance.criterion_2(table=table_big)
+def test_criterion_2_divisor_identities():
+    ok, detail = acceptance.criterion_2()
     print(f"[criterion 2] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
 
 
-def test_criterion_3_voronoi_convergence(table_small):
-    ok, detail = acceptance.criterion_3(table=table_small)
+def test_criterion_3_voronoi_convergence():
+    ok, detail = acceptance.criterion_3()
     print(f"[criterion 3] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
 
@@ -42,8 +42,8 @@ def test_criterion_4_zeta_evaluator():
     assert ok, detail
 
 
-def test_criterion_5_three_formula_consistency(table_small, ms_integrator):
-    ok, detail = acceptance.criterion_5(table=table_small, integrator=ms_integrator)
+def test_criterion_5_three_formula_consistency():
+    ok, detail = acceptance.criterion_5()
     print(f"[criterion 5] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
 
@@ -79,14 +79,14 @@ def test_criterion_6_substance(subconvexity_arrays):
     assert slopes[2] < 0.10
 
 
-def test_criterion_7_moment_suite_full(table_small):
-    ok, detail = acceptance.criterion_7(table=table_small, tmax=2e4)
+def test_criterion_7_moment_suite_full():
+    ok, detail = acceptance.criterion_7(tmax=2e4)
     print(f"[criterion 7] {'PASS' if ok else 'FAIL'} - full {detail}")
     assert ok, detail
 
 
-def test_criterion_7_moment_suite_smoke(table_small):
-    ok, detail = acceptance.criterion_7(table=table_small, tmax=2e3)
+def test_criterion_7_moment_suite_smoke():
+    ok, detail = acceptance.criterion_7(tmax=2e3)
     print(f"[criterion 7] {'PASS' if ok else 'FAIL'} - smoke {detail}")
     assert ok, detail
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zetadiv import CacheError, load_table, sieve_divisors
+from zetadiv import CacheError, load_table, sieve_divisors, voronoi_delta
 from zetadiv.cli import main
 from zetadiv.zeta import zeta_em
 
@@ -251,6 +251,12 @@ def test_moments_cli(capsys, tmp_path):
 
 def test_voronoi_cli(capsys, tmp_path):
     cache = str(tmp_path / "cache")
+    # without --compare the sum reads d(1..N) alone, whatever x is
+    rc, out, err = run(capsys, "--cache-dir", cache, "voronoi", "--x", "1e8", "--n", "1000")
+    assert rc == 0, err
+    v = voronoi_delta(sieve_divisors(1000), 1e8, 1000)
+    assert out == f"x={v.x!r} N={v.N} terms={v.term_count} value={v.value!r}\n"
+    assert load_table(os.path.join(cache, "divisor_table.bin")).limit == 1000
     rc, out, _ = run(capsys, "--cache-dir", cache, "voronoi", "--x", "500",
                      "--n", "100", "--compare")
     assert rc == 0

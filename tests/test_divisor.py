@@ -3,13 +3,12 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from zetadiv import (EULER_GAMMA, CacheError, InvalidArgumentError, OutOfRangeError,
                      ResourceLimitError, delta, delta_star, delta_star_alternating,
                      delta_via_psi, divisor_sum, hyperbola_divisor_sum, load_table,
                      main_term, psi, save_table, sieve_divisors)
+from zetadiv.divisor import DEFAULT_SEGMENT
 
 
 def trial_division_d(n: int) -> int:
@@ -103,18 +102,15 @@ def test_prefix_tables_allocate_only_their_output(traced_peak):
     assert table.alt_prefix()[-1] == int(np.sum(np.where(n % 2 == 0, 1, -1) * table.values))
 
 
-def test_segmented_matches_plain():
-    plain = sieve_divisors(10**5)
-    seg = sieve_divisors(10**5, segment_size=999)
-    assert np.array_equal(plain.values, seg.values)
-
-
-@settings(deadline=None)  # an equality check: its segment_size=1 draws are slow by design
-@given(st.integers(1, 5000), st.integers(1, 6000))
-def test_segmented_matches_single_segment(limit, segment_size):
-    one = sieve_divisors(limit, segment_size=limit + 1)
-    seg = sieve_divisors(limit, segment_size=segment_size)
-    assert np.array_equal(one.values, seg.values)
+def test_sieve_segments_match_unsegmented_pass():
+    # two full segments and a partial third: no seam may show against the
+    # pairing pass run once over the whole array
+    limit = 2 * DEFAULT_SEGMENT + 12345
+    ref = np.zeros(limit + 1, dtype=np.int64)
+    for d in range(1, math.isqrt(limit) + 1):
+        ref[d * d] += 1
+        ref[d * d + d::d] += 2
+    assert np.array_equal(sieve_divisors(limit).values, ref)
 
 
 def test_table_values_read_only(table_small):

@@ -11,11 +11,6 @@ from zetadiv import (E_balasubramanian, E_direct, InvalidArgumentError, OutOfRan
 
 COEF = 1.0 / (math.pi * math.sqrt(2.0))
 
-#: Fixed ensemble of abscissae just above 1e4, at odd multiples of 1/34:
-#: avoids both the integer jump set of delta and the quarter-integer jump
-#: set of delta*, and damps the oscillating tail by taking medians.
-ENSEMBLE = 1e4 + (2 * np.arange(17) + 1) / 34.0
-
 
 def two_term_value(x: float, alternating: bool) -> float:
     """Closed two-term expression (n = 1, 2 with d(1)=1, d(2)=2)."""
@@ -52,34 +47,6 @@ def test_pointwise_residual_small_at_full_truncation(table_small):
     xs = 1000.125
     vs = voronoi_delta_star(table_small, xs, 10**3)
     assert abs(vs.value - delta_star(table_small, xs)) <= 10.0
-
-
-def median_residuals(table, fn, ref_fn, Ns):
-    meds = []
-    for N in Ns:
-        rs = [abs(fn(table, float(x), N).value - ref_fn(float(x))) for x in ENSEMBLE]
-        meds.append(float(np.median(rs)))
-    return meds
-
-
-def test_residual_decay_delta(table_small):
-    Ns = [100, 1000, 10000]
-    med = median_residuals(table_small, voronoi_delta,
-                           lambda x: delta(table_small, x).delta, Ns)
-    assert med[0] > med[1] > med[2], med
-    assert med[2] <= 10.0
-    slope = np.polyfit(np.log(Ns), np.log(med), 1)[0]
-    assert -0.8 <= slope <= -0.2, (med, slope)
-
-
-def test_residual_decay_delta_star(table_small):
-    Ns = [100, 1000, 10000]
-    med = median_residuals(table_small, voronoi_delta_star,
-                           lambda x: delta_star(table_small, x), Ns)
-    assert med[0] > med[1] > med[2], med
-    assert med[2] <= 10.0
-    slope = np.polyfit(np.log(Ns), np.log(med), 1)[0]
-    assert -0.8 <= slope <= -0.2, (med, slope)
 
 
 def test_summation_order_stability(table_small):
