@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zetadiv import (EULER_GAMMA, CacheError, InvalidArgumentError, OutOfRangeError,
                      ResourceLimitError, delta, delta_star, delta_star_alternating,
@@ -102,7 +104,7 @@ def test_prefix_tables_allocate_only_their_output(traced_peak):
     assert table.alt_prefix()[-1] == int(np.sum(np.where(n % 2 == 0, 1, -1) * table.values))
 
 
-def test_sieve_segments_match_unsegmented_pass():
+def test_segmented_matches_plain():
     # two full segments and a partial third: no seam may show against the
     # pairing pass run once over the whole array
     limit = 2 * DEFAULT_SEGMENT + 12345
@@ -111,6 +113,15 @@ def test_sieve_segments_match_unsegmented_pass():
         ref[d * d] += 1
         ref[d * d + d::d] += 2
     assert np.array_equal(sieve_divisors(limit).values, ref)
+
+
+@given(st.integers(1, 5000), st.integers(1, 9), st.integers(-3000, 3000))
+def test_segmented_matches_single_segment(table_big, limit, seam, offset):
+    # a one-segment sieve is the prefix of the ten-segment table to 1e7, and
+    # the table is exact on both sides of each segment seam
+    assert np.array_equal(sieve_divisors(limit).values, table_big.values[:limit + 1])
+    n = seam * DEFAULT_SEGMENT + offset
+    assert table_big.values[n] == trial_division_d(n)
 
 
 def test_table_values_read_only(table_small):
