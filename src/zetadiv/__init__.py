@@ -19,8 +19,8 @@ from .errors import (CacheError, InvalidArgumentError, OutOfRangeError,
                      ZetaDivError)
 from .error_terms import (AtkinsonEval, E_atkinson, E_balasubramanian, E_direct,
                           E_grid, MomentResult, ScanResult, ZetaMeanSquare,
-                          cross_formula_constant, empirical_exponent, estar_scan,
-                          fit_log_cubic, moment_scan_from_samples, short_interval_ms)
+                          empirical_exponent, estar_scan, fit_log_cubic,
+                          moment_scan_from_samples, short_interval_ms)
 from .exppairs import (ExponentPair, ExponentReport, SearchResult, apply_A,
                        apply_B, is_process_reachable, parse_fraction, report,
                        search_optimal, seed_pairs, write_frontier_csv)

@@ -19,8 +19,9 @@ import numpy as np
 
 from .divisor import (delta, delta_grid, delta_star, delta_star_alternating,
                       delta_via_psi, divisor_sum, hyperbola_divisor_sum, sieve_divisors)
-from .error_terms import (cross_formula_constant, empirical_exponent, estar_scan,
-                          fit_log_cubic, moment_scan_from_samples, short_interval_ms)
+from .error_terms import (E_atkinson, E_balasubramanian, E_direct, empirical_exponent,
+                          estar_scan, fit_log_cubic, moment_scan_from_samples,
+                          short_interval_ms)
 from .exppairs import ExponentPair, report, search_optimal
 from .voronoi import voronoi_delta, voronoi_delta_star
 from .zeta import TWO_PI, chi_factor, z_function, zeta_abs2_grid, zeta_em
@@ -120,12 +121,15 @@ def criterion_4() -> tuple[bool, str]:
 
 
 def criterion_5() -> tuple[bool, str]:
-    """Three-formula consistency for E(T) with one fitted constant."""
-    fit = cross_formula_constant((100.0, 300.0, 1000.0, 3000.0, 5000.0),
-                                 table=sieve_divisors(6000))
-    rows = [f"T={r['T']:.0f}: {r['E_direct']:+.2f}/{r['E_atkinson']:+.2f}/"
-            f"{r['E_balasubramanian']:+.2f}" for r in fit["rows"]]
-    return fit["C"] <= 20.0, f"fitted C = {fit['C']:.4f} (<= 20); " + "; ".join(rows)
+    """Three-formula consistency for E(T): C = max |E_direct - E_other| / log^2 T."""
+    table = sieve_divisors(6000)
+    c, rows = 0.0, []
+    for T in (100.0, 300.0, 1000.0, 3000.0, 5000.0):
+        ed, ea, eb = E_direct(T), E_atkinson(T, table=table).value, E_balasubramanian(T)
+        l2 = math.log(T) ** 2
+        c = max(c, abs(ed - ea) / l2, abs(ed - eb) / l2)
+        rows.append(f"T={T:.0f}: {ed:+.2f}/{ea:+.2f}/{eb:+.2f}")
+    return c <= 20.0, f"fitted C = {c:.4f} (<= 20); " + "; ".join(rows)
 
 
 def subconvexity_scan() -> tuple[np.ndarray, np.ndarray]:

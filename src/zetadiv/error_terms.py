@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divisor import DivisorTable, delta_star_grid, main_term, sieve_divisors
+from .divisor import DivisorTable, block_sum, delta_star_grid, main_term, sieve_divisors
 from .errors import (InvalidArgumentError, OutOfRangeError, PrecisionError,
                      PrecisionWarning, ResourceLimitError)
 from .zeta import SCAN_RS_MIN_T, TWO_PI, theta1, zeta_abs2_grid
@@ -42,9 +42,6 @@ ATKINSON_A_PRIME = 2.0
 #: Largest Riemann-Siegel length K the O(K^2) Balasubramanian sum accepts.
 BALASU_K_CAP = 10**4
 _BALASU_BLOCK = 512
-#: Terms per block of the Atkinson sums: each temporary is 32 KiB, and at
-#: T = 1e6 the blocked sums run no slower than 2**10..2**20 blocks.
-_ATKINSON_BLOCK = 2**12
 
 #: First dyadic moment checkpoint is 2^MOMENT_J_MIN.
 MOMENT_J_MIN = 4
@@ -247,15 +244,6 @@ def atkinson_e(T, n):
     return (1.0 + x) ** (-0.25) * rx / np.arcsinh(rx)
 
 
-def _atkinson_sum(table: DivisorTable, n_max: int, terms) -> float:
-    """sum_{n<=n_max} terms(n, d(n)), in blocks of ``_ATKINSON_BLOCK`` terms."""
-    total = 0.0
-    for lo in range(1, n_max + 1, _ATKINSON_BLOCK):
-        n = np.arange(lo, min(lo + _ATKINSON_BLOCK, n_max + 1))
-        total += float(np.sum(terms(n, table.values[n].astype(np.float64))))
-    return total
-
-
 def E_atkinson(T: float, N: float | None = None, *, table: DivisorTable) -> AtkinsonEval:
     """E(T) by the Atkinson explicit formula with cutoff N (default T).
 
@@ -275,17 +263,19 @@ def E_atkinson(T: float, N: float | None = None, *, table: DivisorTable) -> Atki
     if need > table.limit:
         raise OutOfRangeError(f"divisor table limit {table.limit} < required {need}")
 
-    def sigma1_terms(n, d):
+    def sigma1_terms(n):
         sign = np.where(n % 2 == 0, 1.0, -1.0)
+        d = table.values[n].astype(np.float64)
         return sign * d * n ** (-0.75) * atkinson_e(T, n) * np.cos(atkinson_f(T, n))
 
-    def sigma2_terms(n, d):
+    def sigma2_terms(n):
         lg = np.log(T / (TWO_PI * n))
+        d = table.values[n].astype(np.float64)
         return -2.0 * d * n ** (-0.5) / lg * np.cos(T * lg - T + math.pi / 4.0)
 
     sigma1 = (math.sqrt(2.0) * (T / TWO_PI) ** 0.25
-              * _atkinson_sum(table, int(math.floor(N)), sigma1_terms))
-    sigma2 = _atkinson_sum(table, int(math.floor(n_prime)), sigma2_terms)
+              * block_sum(math.floor(N), sigma1_terms))
+    sigma2 = float(block_sum(math.floor(n_prime), sigma2_terms))
     return AtkinsonEval(T=float(T), N=N, N_prime=n_prime,
                         sigma1=sigma1, sigma2=sigma2, value=sigma1 + sigma2)
 
@@ -566,25 +556,3 @@ def empirical_exponent(ts, values) -> float:
             f"need >= 8 nonempty dyadic blocks, got {len(xs)}")
     slope = float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
     return slope
-
-
-def cross_formula_constant(Ts, *, table: DivisorTable) -> dict:
-    """Fit the shared remainder constant C of the three E(T) formulas.
-
-    C is the maximum over the sample points of |E_direct - E_atkinson| and
-    |E_direct - E_balasubramanian| divided by log^2 T.  Returns the fitted
-    constant and per-T details for reporting.
-    """
-    rows = []
-    c = 0.0
-    for T in Ts:
-        ed = E_direct(T)
-        ea = E_atkinson(T, table=table).value
-        eb = E_balasubramanian(T)
-        l2 = math.log(T) ** 2
-        rows.append({"T": T, "E_direct": ed, "E_atkinson": ea,
-                     "E_balasubramanian": eb,
-                     "dev_atkinson": abs(ed - ea) / l2,
-                     "dev_balasubramanian": abs(ed - eb) / l2})
-        c = max(c, rows[-1]["dev_atkinson"], rows[-1]["dev_balasubramanian"])
-    return {"C": c, "rows": rows}

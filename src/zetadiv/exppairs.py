@@ -221,8 +221,8 @@ def write_frontier_csv(pairs, path) -> None:
         w = csv.writer(fh)
         w.writerow(["kappa", "lambda", "word", "theta_div", "theta_zeta"])
         for p in pairs:
-            theta = (p.kappa + p.lam) / (2 + 2 * p.kappa)  # theta_zeta is theta_div / 2
-            w.writerow([p.kappa, p.lam, p.word, theta, theta / 2])
+            r = report(p)
+            w.writerow([p.kappa, p.lam, p.word, r.theta_div, r.theta_zeta])
 
 
 def parse_fraction(text: str) -> Fraction:

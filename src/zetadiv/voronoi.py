@@ -9,10 +9,6 @@ with truncation error O_eps(x^{1/2+eps} N^{-1/2}); the alternating
 remainder delta*(x) has the same expansion with an extra (-1)^n.  The
 implied constants are not pinned down here: tests bound the residuals
 against the exact sieve evaluators empirically.
-
-Terms are accumulated smallest-to-largest in n with compensated
-summation; the n^{-3/4} decay makes plain order adequate, compensation
-removes the doubt.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divisor import DivisorTable, delta, delta_star
+from .divisor import DivisorTable, block_sum, delta, delta_star
 from .errors import InvalidArgumentError, OutOfRangeError
 
 _COEF = 1.0 / (math.pi * math.sqrt(2.0))
@@ -38,7 +34,7 @@ class VoronoiSum:
     term_count: int
 
 
-def _terms(table: DivisorTable, x: float, N: int, alternating: bool) -> np.ndarray:
+def _voronoi(table: DivisorTable, x: float, N: int, alternating: bool) -> VoronoiSum:
     if not 2 <= N < math.inf:
         raise InvalidArgumentError(f"truncation N must be finite and >= 2, got {N}")
     if not 2 <= x < math.inf:
@@ -46,19 +42,15 @@ def _terms(table: DivisorTable, x: float, N: int, alternating: bool) -> np.ndarr
     n_max = int(math.floor(N))
     if n_max > table.limit:
         raise OutOfRangeError(f"N={N} exceeds divisor table limit {table.limit}")
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    d = table.values[1:n_max + 1].astype(np.float64)
-    terms = d * n ** (-0.75) * np.cos(4.0 * math.pi * np.sqrt(n * x) - math.pi / 4.0)
-    if alternating:
-        terms *= np.where(np.arange(1, n_max + 1) % 2 == 0, 1.0, -1.0)
-    return terms
+    x = float(x)
 
+    def terms(n):
+        phase = 4.0 * math.pi * np.sqrt(n * x) - math.pi / 4.0
+        t = table.values[n] * n ** (-0.75) * np.cos(phase)
+        return t * np.where(n % 2 == 0, 1.0, -1.0) if alternating else t
 
-def _voronoi(table: DivisorTable, x: float, N: int, alternating: bool) -> VoronoiSum:
-    terms = _terms(table, float(x), N, alternating)
-    # ascending n = descending magnitude envelope; fsum settles ordering doubts
-    value = _COEF * float(x) ** 0.25 * math.fsum(terms.tolist())
-    return VoronoiSum(x=float(x), N=int(N), value=value, term_count=terms.size)
+    value = _COEF * x ** 0.25 * block_sum(n_max, terms)
+    return VoronoiSum(x=x, N=int(N), value=value, term_count=n_max)
 
 
 def voronoi_delta(table: DivisorTable, x: float, N: int) -> VoronoiSum:

@@ -149,6 +149,10 @@ def test_divisor_sum_out_of_range(table_small):
 def test_hyperbola_identity_random(table_small, rng):
     for x in rng.integers(1, table_small.limit + 1, 300):
         assert divisor_sum(table_small, int(x)) == hyperbola_divisor_sum(int(x))
+    # r = 4473 terms cross a block boundary; plain Python ints are the oracle
+    m = 2 * 10**7 + 12345
+    r = math.isqrt(m)
+    assert hyperbola_divisor_sum(m) == 2 * sum(m // n for n in range(1, r + 1)) - r * r
 
 
 def test_delta_examples(table_small):

@@ -6,9 +6,10 @@ import pytest
 
 from zetadiv import (E_atkinson, E_balasubramanian, E_direct, E_grid,
                      InvalidArgumentError, OutOfRangeError, PrecisionWarning,
-                     ResourceLimitError, ZetaMeanSquare, empirical_exponent,
-                     estar_scan, short_interval_ms, theta1)
-from zetadiv.divisor import main_term, sieve_divisors
+                     ResourceLimitError, ZetaMeanSquare, delta_via_psi,
+                     empirical_exponent, estar_scan, hyperbola_divisor_sum,
+                     short_interval_ms, theta1, voronoi_delta)
+from zetadiv.divisor import main_term
 from zetadiv.error_terms import (ATKINSON_A, ATKINSON_A_PRIME, _gl_pieces,
                                  _panel_count, atkinson_e, atkinson_f,
                                  atkinson_n_prime, moment_scan_from_samples,
@@ -205,12 +206,17 @@ def test_atkinson_blocked_sums_match_one_array(table_small):
     assert abs(E_atkinson(T, table=table_small).sigma1 - ref) <= 1e-13 * abs(ref)
 
 
-def test_atkinson_temporaries_stay_small(traced_peak):
-    # at N = 1e6 one float64 array of all n is 8 MB and the unblocked sums
-    # peaked at 72 MB; the blocked sums stay under 1 MB
-    table = sieve_divisors(10**6)
-    ev, peak = traced_peak(lambda: E_atkinson(1e6, table=table))
-    assert math.isfinite(ev.value)
+@pytest.mark.parametrize("series", [
+    lambda table: E_atkinson(1e6, table=table).value,
+    lambda table: voronoi_delta(table, 1e4, 10**6).value,
+    lambda table: hyperbola_divisor_sum(10**14),
+    lambda table: delta_via_psi(1e14),
+], ids=["E_atkinson", "voronoi_delta", "hyperbola_divisor_sum", "delta_via_psi"])
+def test_series_temporaries_stay_small(traced_peak, table_big, series):
+    # 1e6 terms (1e7 for the two sqrt(x) sums): one 8-byte array over all n
+    # would take 8-80 MB, so a peak under 1 MB shows the sums run in blocks
+    value, peak = traced_peak(lambda: series(table_big))
+    assert math.isfinite(value)
     assert peak < 1e6, peak
 
 
