@@ -59,6 +59,10 @@ DEFAULT_SEGMENT = 2**20
 #: T = 1e6 the blocked Atkinson sums run no slower than 2**10..2**20 blocks.
 SUM_BLOCK = 2**12
 
+#: Largest x that ``hyperbola_divisor_sum`` takes: above about 1.04e18 the
+#: int64 sum of its first block of m // n wraps.
+HYPERBOLA_X_CAP = 10**18
+
 _CACHE_MAGIC = b"ZDTABLE1"
 _CACHE_VERSION = 2
 
@@ -168,10 +172,14 @@ def block_sum(n_max: int, terms):
 def hyperbola_divisor_sum(x) -> int:
     """sum_{n<=x} d(n) by the Dirichlet hyperbola identity, no table needed.
 
-    Exact integer arithmetic; O(sqrt(x)) work in bounded blocks.
+    Exact integer arithmetic; O(sqrt(x)) work in bounded blocks.  x above
+    ``HYPERBOLA_X_CAP`` raises ResourceLimitError.
     """
     if not -math.inf < x < math.inf:
         raise InvalidArgumentError(f"hyperbola_divisor_sum needs finite x, got {x}")
+    if x > HYPERBOLA_X_CAP:
+        raise ResourceLimitError(f"hyperbola_divisor_sum: x={x!r} exceeds the cap "
+                                 f"{HYPERBOLA_X_CAP:.0e} of exact int64 block sums")
     m = int(math.floor(x))
     if m < 1:
         return 0

@@ -185,11 +185,23 @@ def E_direct(T: float, *, tol: float = 0.1) -> float:
     return val - TWO_PI * main_term(T / TWO_PI)
 
 
+#: Most points ``E_grid`` builds, checked before anything is allocated:
+#: 2**24 points are 128 MiB per float64 column, and at the default step
+#: 0.25 they reach t ~ 4.2e6.
+E_GRID_MAX_POINTS = 2**24
+
+
 def E_grid(tmax: float, step: float = 0.25,
            integrator: ZetaMeanSquare | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """E on the uniform grid 0, step, ..., ~tmax (cumulative, one pass)."""
+    """E on the uniform grid 0, step, ..., ~tmax (cumulative, one pass).
+
+    A grid of ``E_GRID_MAX_POINTS`` points or more raises ResourceLimitError.
+    """
     if not (0.0 < tmax < math.inf and 0.0 < step < math.inf):
         raise InvalidArgumentError("tmax and step must be positive and finite")
+    if tmax / step >= E_GRID_MAX_POINTS:
+        raise ResourceLimitError(f"E_grid: tmax/step = {tmax / step:.3e} reaches the cap "
+                                 f"of {E_GRID_MAX_POINTS} grid points")
     n = int(round(tmax / step))
     integ = integrator if integrator is not None else ZetaMeanSquare(chunk=step)
     if abs(integ.chunk - step) > 1e-12:

@@ -199,6 +199,17 @@ def test_balasu_resource_cap(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("e-scan", "--tmax", "1e4", "--step", "1e-9"),
+    ("e-scan", "--tmax", "1e300"),
+], ids=["tiny-step", "huge-tmax"])
+def test_e_scan_grid_cap(capsys, argv):
+    # the grid's point count is checked before anything is allocated
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3, (rc, out, err)
+    assert err.startswith("resource limit:") and "cap" in err, err
+
+
 def test_e_scan_precision_exit(capsys, tmp_path):
     rc, _, err = run(capsys, "e-scan", "--tmax", "5", "--tol", "0")
     assert rc == 4

@@ -10,7 +10,7 @@ from zetadiv import (EULER_GAMMA, CacheError, InvalidArgumentError, OutOfRangeEr
                      ResourceLimitError, delta, delta_star, delta_star_alternating,
                      delta_via_psi, divisor_sum, hyperbola_divisor_sum, load_table,
                      main_term, psi, save_table, sieve_divisors)
-from zetadiv.divisor import DEFAULT_SEGMENT
+from zetadiv.divisor import DEFAULT_SEGMENT, HYPERBOLA_X_CAP
 
 
 def trial_division_d(n: int) -> int:
@@ -153,6 +153,16 @@ def test_hyperbola_identity_random(table_small, rng):
     m = 2 * 10**7 + 12345
     r = math.isqrt(m)
     assert hyperbola_divisor_sum(m) == 2 * sum(m // n for n in range(1, r + 1)) - r * r
+
+
+def test_hyperbola_cap():
+    # above ~1.04e18 the int64 sum of the first block of m // n wraps; the
+    # cap refuses before any block is summed
+    assert HYPERBOLA_X_CAP == 10**18
+    with pytest.raises(ResourceLimitError, match="cap"):
+        hyperbola_divisor_sum(1.1e18)
+    with pytest.raises(ResourceLimitError):
+        hyperbola_divisor_sum(HYPERBOLA_X_CAP + 1)
 
 
 def test_delta_examples(table_small):

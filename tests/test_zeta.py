@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +10,10 @@ import pytest
 from zetadiv import (InvalidArgumentError, OutOfRangeError, PrecisionError, chi_factor,
                      convexity_exponent, rs_term_count, rs_theta, rs_z_grid, theta1,
                      z_function, zeta_abs2_grid, zeta_em)
-from zetadiv.zeta import (RS_CROSSOVER_T, RS_PHASE_ERR_MAX, SCAN_RS_MIN_T,
-                          THETA_SERIES_MIN_T, TWO_PI, _log_gamma, _phase_rounding_envelope)
+from zetadiv import zeta
+from zetadiv.zeta import (RS_BLOCK_MIN_K, RS_CROSSOVER_T, RS_PHASE_ERR_MAX, SCAN_RS_MIN_T,
+                          THETA_SERIES_MIN_T, TWO_PI, _log_gamma, _main_sum_loop,
+                          _phase_rounding_envelope)
 
 try:
     import mpmath
@@ -285,6 +291,81 @@ def test_rs_z_grid_temporaries_scale_with_one_run(traced_peak):
     assert peak <= 3 * z.nbytes, peak / z.nbytes
 
 
+@pytest.fixture()
+def block_calls(monkeypatch):
+    """Count the K runs that take the block kernel; returns the list of their sizes."""
+    calls = []
+    kernel = zeta._main_sum_block
+
+    def counted(t, th, K):
+        calls.append(t.size)
+        return kernel(t, th, K)
+
+    monkeypatch.setattr(zeta, "_main_sum_block", counted)
+    return calls
+
+
+def loop_z(ts, monkeypatch):
+    """rs_z_grid with every K run on the per-term loop, the in-repo oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(zeta, "_main_sum_block", _main_sum_loop)
+        return rs_z_grid(ts)
+
+
+def assert_within_envelope(z, ref, ts):
+    # README's phase-rounding envelope at each point; the truncation terms
+    # of the two routes are the same code
+    tol = np.array([_phase_rounding_envelope(float(t)) for t in np.ravel(ts)])
+    assert np.all(np.abs(np.ravel(z) - np.ravel(ref)) <= tol), float(np.max(np.abs(z - ref)))
+
+
+def test_block_kernel_across_the_k_seam(monkeypatch, block_calls):
+    # one progression over K = 199, 200 and 201: K = 199 keeps the loop's
+    # bits, the K = 200 run (two slabs of rows) and K = 201 take the kernel
+    ts = TWO_PI * 199.97**2 + 0.06 * np.arange(46_000)
+    kk = np.floor(np.sqrt(ts / TWO_PI)).astype(int)
+    assert set(kk) == {199, 200, 201} and RS_BLOCK_MIN_K == 200
+    z = rs_z_grid(ts)
+    assert block_calls == [np.sum(kk == 200), np.sum(kk == 201)]
+    assert block_calls[0] > 128 * 256
+    ref = loop_z(ts, monkeypatch)
+    assert np.array_equal(z[kk == 199], ref[kk == 199])
+    assert_within_envelope(z, ref, ts)
+
+
+def test_block_kernel_reversed_and_two_d(monkeypatch, block_calls):
+    # a decreasing progression goes through the stable sort and stays one
+    # progression per K run; a 2-d progression is one after ravel
+    ts = (TWO_PI * 300.8**2 + 0.37 * np.arange(3000))[::-1]
+    z = rs_z_grid(ts)
+    assert len(block_calls) == 2 and sum(block_calls) == ts.size
+    assert_within_envelope(z, loop_z(ts, monkeypatch), ts)
+    grid = (TWO_PI * 450.25**2 + 0.11 * np.arange(2 * 700)).reshape(2, 700)
+    z2 = rs_z_grid(grid)
+    assert z2.shape == grid.shape and block_calls[2:] == [grid.size]
+    assert_within_envelope(z2, loop_z(grid, monkeypatch), grid)
+
+
+def test_block_kernel_two_point_runs(monkeypatch, block_calls):
+    ts = np.array([TWO_PI * 250.3**2, TWO_PI * 250.3**2 + 0.5,
+                   TWO_PI * 1000.7**2, TWO_PI * 1000.7**2 + 7.25])
+    z = rs_z_grid(ts)
+    assert block_calls == [2, 2]
+    assert_within_envelope(z, loop_z(ts, monkeypatch), ts)
+
+
+def test_non_progressions_keep_the_loop_bits(monkeypatch, block_calls, rng):
+    # a sorted non-uniform grid and one-point grids above K = 200 never
+    # reach the kernel and return the loop's bits exactly
+    ts = np.sort(rng.uniform(TWO_PI * 250**2, TWO_PI * 252**2, 500))
+    z = rs_z_grid(ts)
+    ref = loop_z(ts, monkeypatch)
+    assert np.array_equal(z, ref)
+    for t in (TWO_PI * 200.5**2, 1e8 + 0.37):
+        assert rs_z_grid(np.array([t]))[0] == loop_z(np.array([t]), monkeypatch)[0]
+    assert block_calls == []
+
+
 def test_scan_engine_seam_continuity():
     # the EM/RS hand-off of the scan integrand does not jump
     eps = 1e-6
@@ -390,3 +471,48 @@ def test_rs_z_grid_high_t_against_siegelz():
         with mpmath.workdps(25):
             err = abs(z - float(mpmath.siegelz(float(t))))
         assert err <= tol, (t, err, tol)
+
+
+def scan_window(K: float, n: int) -> np.ndarray:
+    """n points from t = 2 pi K^2 at a scan step of 1/8 of the mean zero spacing."""
+    t0 = TWO_PI * K * K
+    return t0 + TWO_PI / (8.0 * math.log(t0 / TWO_PI)) * np.arange(n)
+
+
+@pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath not installed")
+def test_block_kernel_against_siegelz(rng, block_calls):
+    # block-kernel windows at K = 3989 (t ~ 1e8) and K ~ 400 (t ~ 1e6)
+    # against the independent oracle, within README's envelope
+    u = 2.0 ** -53
+    for K, n, probes in ((3989.3, 5_000, 3), (400.2, 20_000, 5)):
+        ts = scan_window(K, n)
+        calls = len(block_calls)
+        zs = rs_z_grid(ts)
+        assert block_calls[calls:] == [n]
+        for i in np.sort(rng.choice(n, probes, replace=False)):
+            t = float(ts[i])
+            m = np.arange(2, rs_term_count(t) + 1)
+            tol = 0.053 * t ** -1.25 + 2.0 * u * t * float(np.sum(np.log(m) / np.sqrt(m)))
+            err = abs(zs[i] - float(mpmath.siegelz(t)))
+            assert err <= tol, (t, err, tol)
+
+
+def test_block_kernel_blas_threads(tmp_path):
+    # the kernel's GEMMs sum in an order that depends on the BLAS thread
+    # count; the values must agree far inside the error envelope
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys, numpy as np; from zetadiv import rs_z_grid; "
+            "ts = [2 * np.pi * 400.2**2 + 0.065 * np.arange(20_000), "
+            "2 * np.pi * 3989.3**2 + 0.047 * np.arange(5_000)]; "
+            "np.save(sys.argv[1], np.concatenate([rs_z_grid(t) for t in ts]))")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        path = tmp_path / f"z{threads}.npy"
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(np.load(path))
+    assert outs[0].shape == (25_000,)
+    assert float(np.max(np.abs(outs[0] - outs[1]))) <= 1e-12
