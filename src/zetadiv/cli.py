@@ -27,9 +27,9 @@ from .divisor import (DivisorTable, delta_grid, load_table, save_table,
                       sieve_divisors)
 from .errors import (CacheError, InvalidArgumentError, PrecisionError,
                      ResourceLimitError, ZetaDivError)
-from .error_terms import (E_atkinson, E_balasubramanian, E_grid, ZetaMeanSquare,
-                          estar_scan, fit_log_cubic, moment_scan_from_samples,
-                          short_interval_ms, write_columns_csv)
+from .error_terms import (E_atkinson, E_balasubramanian, E_grid, estar_scan,
+                          fit_log_cubic, moment_scan_from_samples, short_interval_ms,
+                          write_columns_csv)
 from .exppairs import (ExponentPair, is_process_reachable, parse_fraction,
                        report, search_optimal, write_frontier_csv)
 from .voronoi import (delta_series_target, delta_star_series_target, voronoi_delta,
@@ -159,9 +159,7 @@ def cmd_zeta_eval(args) -> int:
 
 def cmd_e_scan(args) -> int:
     t0 = time.time()
-    integ = ZetaMeanSquare(chunk=args.step)
-    ts, es = E_grid(args.tmax, args.step, integ)
-    err = integ.error_estimate(args.tmax)
+    ts, es, err = E_grid(args.tmax, args.step)
     if err > args.tol:
         raise PrecisionError(f"quadrature error estimate {err:.3e} exceeds --tol {args.tol}")
     if args.out:

@@ -51,6 +51,12 @@ MOMENT_J_MIN = 4
 # Cumulative quadrature of |zeta(1/2+it)|^2
 # ---------------------------------------------------------------------------
 
+#: Most chunks a ``ZetaMeanSquare`` cache holds (so most points ``E_grid``
+#: builds) and most integrand nodes one quadrature call evaluates, checked
+#: before anything is allocated: 2**24 points are 128 MiB per float64
+#: column, and at the default chunk 0.25 they reach t ~ 4.2e6.
+E_GRID_MAX_POINTS = 2**24
+
 #: Gauss-Legendre nodes per panel; the audit re-integrates at twice as many.
 GL_NODES = 6
 _GL_RULE = np.polynomial.legendre.leggauss(GL_NODES)
@@ -63,6 +69,12 @@ def _panel_count(width: float, b: float) -> int:
     return max(1, math.ceil(width * math.log(max(b / TWO_PI, math.e)) / 2.5))
 
 
+def _check_nodes(nodes: int) -> None:
+    """Refuse one integrand call of ``E_GRID_MAX_POINTS`` nodes or more."""
+    if nodes >= E_GRID_MAX_POINTS:
+        raise ResourceLimitError(f"{nodes:.3e} nodes in one quadrature call reach the cap")
+
+
 def _gl_sum(starts: np.ndarray, width: float, m: int, f, rule) -> np.ndarray:
     """Composite Gauss-Legendre of f on each piece [s, s + width], m panels.
 
@@ -70,6 +82,7 @@ def _gl_sum(starts: np.ndarray, width: float, m: int, f, rule) -> np.ndarray:
     its own, so a piece's value does not depend on the call's other pieces.
     """
     x, w = rule
+    _check_nodes(starts.size * m * x.size)
     h = width / m
     offsets = ((np.arange(m)[:, None] + 0.5 * (x + 1.0)) * h).ravel()
     ys = f((starts[:, None] + offsets).ravel()).reshape(starts.size, offsets.size)
@@ -119,10 +132,14 @@ class ZetaMeanSquare:
         Groups of up to 4096 new chunks take the panel count of their last
         chunk, which no chunk's own count exceeds (one panel for the default
         chunk below t = 2 pi e^10 ~ 1.38e5).  Each call that grows the cache
-        allocates its two arrays once, at their new length.
+        allocates its two arrays once, at their new length; a cache of
+        ``E_GRID_MAX_POINTS`` chunks or more raises ResourceLimitError first.
         """
         if not math.isfinite(T):
             raise InvalidArgumentError(f"extend_to needs finite T, got {T!r}")
+        if T / self.chunk >= E_GRID_MAX_POINTS:
+            raise ResourceLimitError(f"T/chunk = {T / self.chunk:.3e} reaches the cap "
+                                     f"of {E_GRID_MAX_POINTS} chunks")
         need = math.ceil(max(T, 0.0) / self.chunk)
         k = self._cum.size - 1
         if k >= need:
@@ -158,56 +175,44 @@ class ZetaMeanSquare:
         self.extend_to(T)
         return float(self._err[int(T / self.chunk)])
 
-    def grid_values(self, n: int) -> np.ndarray:
-        """Cumulative integral at the chunk boundaries 0, c, 2c, ..., n*c."""
-        self.extend_to(n * self.chunk)
-        return self._cum[:n + 1].copy()
-
 
 #: Process-wide quadrature cache of E_direct (grown lazily, never shrunk).
 _shared_integrator = ZetaMeanSquare()
 
 
-def E_direct(T: float, *, tol: float = 0.1) -> float:
+#: E_direct raises PrecisionError when the cache's audit estimate at T exceeds this.
+E_DIRECT_TOL = 0.1
+
+
+def E_direct(T: float) -> float:
     """E(T) by direct quadrature of Z(t)^2, on the one process-wide cache.
 
-    The cached cumulative error at T must come in under ``tol`` or a
-    PrecisionError is raised.
+    The cached cumulative error at T must come in under ``E_DIRECT_TOL`` or
+    a PrecisionError is raised.
     """
     if not 0.0 <= T < math.inf:
         raise InvalidArgumentError(f"E_direct needs finite T >= 0, got {T!r}")
-    if not 0.0 < tol < math.inf:
-        raise InvalidArgumentError(f"tolerance must be positive and finite, got {tol!r}")
     val = _shared_integrator.integral(T)
     err = _shared_integrator.error_estimate(T)
-    if err > tol:
-        raise PrecisionError(f"quadrature error estimate {err:.3e} exceeds tol {tol} at T={T}")
+    if err > E_DIRECT_TOL:
+        raise PrecisionError(f"quadrature error estimate {err:.3e} exceeds {E_DIRECT_TOL} at T={T}")
     return val - TWO_PI * main_term(T / TWO_PI)
 
 
-#: Most points ``E_grid`` builds, checked before anything is allocated:
-#: 2**24 points are 128 MiB per float64 column, and at the default step
-#: 0.25 they reach t ~ 4.2e6.
-E_GRID_MAX_POINTS = 2**24
-
-
-def E_grid(tmax: float, step: float = 0.25,
-           integrator: ZetaMeanSquare | None = None) -> tuple[np.ndarray, np.ndarray]:
+def E_grid(tmax: float, step: float = 0.25) -> tuple[np.ndarray, np.ndarray, float]:
     """E on the uniform grid 0, step, ..., ~tmax (cumulative, one pass).
 
-    A grid of ``E_GRID_MAX_POINTS`` points or more raises ResourceLimitError.
+    Returns the grid, E on it and the audit error estimate at its last
+    point.  A grid of ``E_GRID_MAX_POINTS`` points or more raises
+    ResourceLimitError (from ``ZetaMeanSquare.extend_to``).
     """
     if not (0.0 < tmax < math.inf and 0.0 < step < math.inf):
         raise InvalidArgumentError("tmax and step must be positive and finite")
-    if tmax / step >= E_GRID_MAX_POINTS:
-        raise ResourceLimitError(f"E_grid: tmax/step = {tmax / step:.3e} reaches the cap "
-                                 f"of {E_GRID_MAX_POINTS} grid points")
-    n = int(round(tmax / step))
-    integ = integrator if integrator is not None else ZetaMeanSquare(chunk=step)
-    if abs(integ.chunk - step) > 1e-12:
-        raise InvalidArgumentError("integrator chunk must equal the grid step")
+    integ = ZetaMeanSquare(chunk=step)
+    integ.extend_to(tmax)  # ceil(tmax/step) chunks, so n below is covered
+    n = round(tmax / step)
     ts = step * np.arange(n + 1)
-    return ts, integ.grid_values(n) - TWO_PI * main_term(ts / TWO_PI)
+    return ts, integ._cum[:n + 1] - TWO_PI * main_term(ts / TWO_PI), float(integ._err[n])
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +409,7 @@ def estar_scan(tmax: float, step: float = 0.25, *,
         table = sieve_divisors(int(4 * tmax / TWO_PI) + 2)
     if 4 * tmax / TWO_PI > table.limit:
         raise OutOfRangeError("divisor table too small for delta*(tmax/(2 pi))")
-    ts, e_vals = E_grid(tmax, step)
+    ts, e_vals, _ = E_grid(tmax, step)
     ds = np.zeros_like(ts)  # delta* is not defined at t = 0
     ds[1:] = TWO_PI * delta_star_grid(table, ts[1:] / TWO_PI)
     return ScanResult(t=ts, E=e_vals, delta_star_scaled=ds, E_star=e_vals - ds,
@@ -528,7 +533,9 @@ def short_interval_ms(T: float, G: float, *, profile: str = "exp_bump") -> float
     a, b = T - 2.0 * G, T + 2.0 * G
     n = math.ceil((b - a) / 0.25)
     width = (b - a) / n
-    vals, worst = _gl_pieces(a + width * np.arange(n), width, _panel_count(width, b),
+    m = _panel_count(width, b)
+    _check_nodes(n * m * GL_NODES)
+    vals, worst = _gl_pieces(a + width * np.arange(n), width, m,
                              lambda ts: smooth_window(ts, T, G, profile) * zeta_abs2_grid(ts))
     value, err = float(np.sum(vals)), worst * n
     if err > max(0.05, 1e-6 * abs(value)):

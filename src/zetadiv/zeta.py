@@ -26,7 +26,7 @@ The module needs numpy only.  The exact phase ``rs_theta`` is the real-t
 asymptotic series of theta from t = 12 on; below that, and inside
 ``chi_factor``, a private complex log Gamma shifts z to |z| >= 12 by the
 recurrence and applies Stirling's series, whose coefficients come from the
-exact Bernoulli table of the Euler-Maclaurin route, and reflects Re z < 0.
+exact Bernoulli table of the Euler-Maclaurin route.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .errors import InvalidArgumentError, OutOfRangeError, PrecisionError
 
 TWO_PI = 2.0 * math.pi
 LOG_PI = math.log(math.pi)
-LOG_2 = math.log(2.0)
 HALF_LOG_2PI = 0.5 * math.log(TWO_PI)
 
 #: Below this t the production Z evaluator uses the Euler-Maclaurin route;
@@ -149,7 +148,8 @@ def _zeta_half_em_grid(ts: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# log Gamma: recurrence shift plus Stirling's series, reflection for Re z < 0
+# log Gamma (recurrence shift plus Stirling's series) and
+# chi(s) = pi^(s - 1/2) Gamma((1 - s)/2) / Gamma(s/2)
 # ---------------------------------------------------------------------------
 
 #: Stirling coefficients B_{2k}/(2k (2k-1)), k = 1..8, from the exact table;
@@ -159,24 +159,18 @@ _LG_MIN_ABS = 12.0
 
 
 def _log_gamma(z) -> np.ndarray:
-    """Principal log Gamma(z) over a 1-d array of complex z off the poles.
+    """log Gamma(z) over a 1-d array of complex z off the poles.
 
-    For Re z >= 0, z is shifted by the recurrence
+    z is shifted by the recurrence
     log Gamma(z) = log Gamma(z + m) - sum_{j<m} log(z + j) just far enough
     that |z + m| >= 12 (no shift once |Im z| >= 12, which keeps the count
-    of rounded terms small); every log(z + j) has Re >= 0, so the result
-    is the principal branch.  Stirling's series then gives
-    log Gamma(z + m), with (w - 1/2) log w - w written as
-    (w - 1/2)(log w - 1) - 1/2 to drop one large cancelling term.
-
-    For Re z < 0 the reflection log Gamma(z) = log pi - log sin(pi z)
-    - log Gamma(1 - z) is used, whose branch is right only modulo 2 pi i
-    (enough under exp, as in chi).  It starts at Re z < 0, not 1/2, so
-    that rs_theta's points z = 1/4 + it/2 stay on the principal branch.
+    of rounded terms small), and Stirling's series gives log Gamma(z + m),
+    with (w - 1/2) log w - w written as (w - 1/2)(log w - 1) - 1/2 to drop
+    one large cancelling term.  For Re z >= 0 the result is the principal
+    branch, as rs_theta needs; left of it, it is right modulo 2 pi i,
+    which is enough under exp, as in chi.
     """
-    z = np.asarray(z, dtype=complex)
-    refl = z.real < 0.0
-    w = np.where(refl, 1.0 - z, z)
+    w = np.asarray(z, dtype=complex)
     m = np.maximum(0.0, np.ceil(np.sqrt(np.maximum(_LG_MIN_ABS**2 - w.imag**2, 0.0)) - w.real))
     shift = np.zeros_like(w)
     for j in range(int(m.max(initial=0.0))):
@@ -187,52 +181,28 @@ def _log_gamma(z) -> np.ndarray:
     series = np.full_like(w, _LG_COEF[-1])
     for c in _LG_COEF[-2::-1]:
         series = series * r2 + c
-    out = (w - 0.5) * (np.log(w) - 1.0) + (HALF_LOG_2PI - 0.5) + r * series - shift
-    if np.any(refl):
-        log_sin = np.array([_log_sin(math.pi * v) for v in z[refl]])
-        out[refl] = LOG_PI - log_sin - out[refl]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# chi(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1 - s)
-# ---------------------------------------------------------------------------
-
-def _log_sin(w: complex) -> complex:
-    """log(sin(w)) stable for large |Im w| (branch irrelevant under exp)."""
-    if abs(w.imag) < 300.0:
-        return complex(np.log(np.sin(complex(w))))
-    if w.imag > 0:
-        # sin w = (i/2) e^{-iw} (1 - e^{2iw})
-        return 1j * math.pi / 2 - LOG_2 - 1j * w + np.log1p(-np.exp(2j * w))
-    return -1j * math.pi / 2 - LOG_2 + 1j * w + np.log1p(-np.exp(-2j * w))
+    return (w - 0.5) * (np.log(w) - 1.0) + (HALF_LOG_2PI - 0.5) + r * series - shift
 
 
 def chi_factor(s) -> complex:
     """Functional-equation factor chi(s) with zeta(s) = chi(s) zeta(1-s).
 
-    Computed as exp of log 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) for
-    stability, with the in-house log Gamma (whose branch does not matter
-    under exp); satisfies
-    chi(s) * chi(1-s) = 1 and |chi(1/2+it)| = 1.  Real odd integers
-    s >= 1 are poles (raise); real even integers are handled by their
-    finite sin*Gamma limits.
+    The Gamma ratio of pi^(-s/2) Gamma(s/2) zeta(s) = pi^(-(1-s)/2)
+    Gamma((1-s)/2) zeta(1-s), taken as exp((s - 1/2) log pi
+    + log Gamma((1-s)/2) - log Gamma(s/2)).  On the critical line the two
+    Gamma arguments are conjugates, so the exponent's real part is exactly
+    0.  Real odd integers s >= 1 are poles (raise); real even integers
+    s <= 0 are the trivial zeros.
     """
     s = complex(s)
     if s.imag == 0.0 and s.real == round(s.real):
         k = int(round(s.real))
         if k >= 1 and k % 2 == 1:
             raise InvalidArgumentError(f"chi has a pole at s = {k}")
-        if k >= 2 and k % 2 == 0:
-            # sin zero against the Gamma pole: finite limit
-            m = k // 2
-            return complex((-1) ** m * 2.0 ** (k - 1) * math.pi ** k
-                           / math.factorial(k - 1))
         if k <= 0 and k % 2 == 0:
             return 0.0 + 0.0j  # trivial zeros of zeta
-    log_chi = (s * LOG_2 + (s - 1) * LOG_PI + _log_sin(math.pi * s / 2.0)
-               + _log_gamma(np.array([1.0 - s]))[0])
-    return complex(np.exp(log_chi))
+    lg = _log_gamma(np.array([(1.0 - s) / 2.0, s / 2.0]))
+    return complex(np.exp((s - 0.5) * LOG_PI + lg[0] - lg[1]))
 
 
 def convexity_exponent(sigma: float) -> float:

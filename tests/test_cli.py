@@ -202,9 +202,11 @@ def test_balasu_resource_cap(capsys):
 @pytest.mark.parametrize("argv", [
     ("e-scan", "--tmax", "1e4", "--step", "1e-9"),
     ("e-scan", "--tmax", "1e300"),
-], ids=["tiny-step", "huge-tmax"])
+    ("e-scan", "--tmax", "4e18", "--step", "4e17"),
+    ("short-interval", "--T", "1e18", "--G", "1e17"),
+], ids=["tiny-step", "huge-tmax", "huge-step", "short-interval"])
 def test_e_scan_grid_cap(capsys, argv):
-    # the grid's point count is checked before anything is allocated
+    # chunk and node counts are checked before anything is allocated
     rc, out, err = run(capsys, *argv)
     assert rc == 3, (rc, out, err)
     assert err.startswith("resource limit:") and "cap" in err, err

@@ -126,8 +126,19 @@ def test_audit_estimate_bounds_window_error(t0):
 
 
 def test_E_direct_meets_default_tol_at_3e4():
-    # the audit estimate stays within 0.01, far inside the default tol = 0.1
-    assert math.isfinite(E_direct(3e4, tol=0.01))
+    # the audit estimate stays within 0.01, far inside E_DIRECT_TOL = 0.1
+    assert ZetaMeanSquare().error_estimate(3e4) <= 0.01
+
+
+@pytest.mark.parametrize("call", [
+    lambda: E_direct(1e300),
+    lambda: ZetaMeanSquare(1e17).extend_to(1e18),
+    lambda: short_interval_ms(1e18, 1e17),
+], ids=["E_direct-chunks", "extend_to-nodes", "short_interval_ms-nodes"])
+def test_quadrature_caps(call):
+    # chunk and node counts are checked before anything is allocated
+    with pytest.raises(ResourceLimitError, match="cap"):
+        call()
 
 
 @pytest.mark.parametrize("call", [
@@ -156,7 +167,8 @@ def test_stepwise_extension_matches_one_call():
     fresh.extend_to(2000.0)
     n = round(2000.0 / fresh.chunk)
     assert n > 4096
-    a, b = stepped.grid_values(n), fresh.grid_values(n)
+    a, b = stepped._cum, fresh._cum
+    assert a.size == b.size == n + 1
     assert np.all(np.abs(a - b) <= 1e-9 * np.abs(b))
 
 
@@ -363,7 +375,8 @@ def test_sigma2_soft_log_bound(table_small):
 
 
 def test_E_grid_matches_pointwise():
-    ts, es = E_grid(50.0, 0.25)
+    ts, es, err = E_grid(50.0, 0.25)
     assert ts.size == 201
+    assert err == ZetaMeanSquare().error_estimate(50.0)  # the audit estimate at tmax
     for idx in (40, 120, 200):
         assert abs(es[idx] - E_direct(float(ts[idx]))) < 1e-9

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zetadiv import (E_balasubramanian, E_direct, InvalidArgumentError, OutOfRangeError,
+from zetadiv import (E_balasubramanian, InvalidArgumentError, OutOfRangeError,
                      delta, delta_grid, delta_star, delta_star_alternating, delta_star_grid,
                      delta_series_target, delta_star_series_target, delta_via_psi,
                      divisor_sum, hyperbola_divisor_sum, sieve_divisors, theta1,
@@ -111,7 +111,6 @@ NON_FINITE_CALLS = {
     "sieve_divisors": lambda t, v: sieve_divisors(v),
     "E_balasubramanian": lambda t, v: E_balasubramanian(v),
     "theta1": lambda t, v: theta1(v),
-    "E_direct-tol": lambda t, v: E_direct(300.0, tol=v),
 }
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetadiv import (InvalidArgumentError, OutOfRangeError, PrecisionError, chi_factor,
                      convexity_exponent, rs_term_count, rs_theta, rs_z_grid, theta1,
@@ -90,7 +92,7 @@ def test_chi_poles_and_special_points():
         chi_factor(1.0)
     with pytest.raises(InvalidArgumentError):
         chi_factor(3.0)
-    # finite limits where the sin zero cancels the Gamma pole
+    # even integers s >= 2 come straight out of the Gamma ratio
     assert abs(chi_factor(2.0) - (-2 * math.pi**2)) < 1e-9
     # zeta(2) = chi(2) zeta(-1) with zeta(-1) = -1/12
     assert abs(chi_factor(2.0) * (-1.0 / 12.0) - math.pi**2 / 6) < 1e-9
@@ -99,9 +101,42 @@ def test_chi_poles_and_special_points():
 
 
 def test_chi_large_t_stability():
-    # |chi| = 1 must survive the large-|Im| log-sin branch
+    # on the critical line the two log Gamma arguments are conjugates, so
+    # |chi| = 1 holds however large t is
     s = 0.5 + 1j * 5000.0
     assert abs(abs(chi_factor(s)) - 1.0) < 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1.0, 2.0), st.floats(0.5, 80.0), st.booleans())
+def test_chi_reflection_and_conjugation_property(x, y, lower):
+    s = complex(x, -y if lower else y)
+    chi = chi_factor(s)
+    assert abs(chi * chi_factor(1 - s) - 1.0) <= 1e-13, s
+    assert abs(chi_factor(s.conjugate()) - chi.conjugate()) <= 4 * np.spacing(abs(chi)), s
+
+
+@pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath not installed")
+def test_chi_against_mpmath(rng):
+    # pi^(s-1/2) Gamma((1-s)/2) / Gamma(s/2) at 30 digits, on the property's
+    # range and at real points, even integers s >= 2 included
+    ss = np.concatenate([rng.uniform(-1.0, 2.0, 200)
+                         + 1j * rng.choice([-1.0, 1.0], 200) * rng.uniform(0.5, 80.0, 200),
+                         [-3.5, -1.0, 0.5, 2.0, 4.0, 6.0, 2.5 + 0.0j]])
+    with mpmath.workdps(30):
+        for s in ss:
+            sm = mpmath.mpc(s.real, s.imag)
+            ref = complex(mpmath.pi ** (sm - 0.5) * mpmath.gamma((1 - sm) / 2)
+                          / mpmath.gamma(sm / 2))
+            assert abs(chi_factor(s) - ref) <= 1e-13 * abs(ref), s
+
+
+def test_chi_on_critical_line_matches_theta(rng):
+    # chi(1/2+it) = e^{-2 i theta(t)}; both sides round phases of size ~t log t
+    for t in np.exp(rng.uniform(math.log(TWO_PI), math.log(1e4), 400)):
+        chi = chi_factor(0.5 + 1j * t)
+        assert abs(chi - np.exp(-2j * rs_theta(t))) <= 5e-11, t
+        assert abs(abs(chi) - 1.0) <= 2.0**-51, t
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +472,16 @@ def test_rs_theta_against_siegeltheta(rng):
 
 @pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath not installed")
 def test_log_gamma_against_mpmath(rng):
-    # criterion 4's s range and test_chi_reflection_random's, taken as both
-    # s and 1 - s (chi_factor evaluates log Gamma(1 - s)), plus the theta
-    # points 1/4 + it/2 and points left of Re z = 1/2 and of 0
+    # criterion 4's s range and test_chi_reflection_random's, taken as s and
+    # 1 - s and as chi_factor's arguments s/2 and (1 - s)/2, plus the theta
+    # points 1/4 + it/2 and points left of Re z = 1/2, of 0 and far left
     s4 = rng.uniform(-0.5, 1.5, 60) + 1j * rng.uniform(1.0, 60.0, 60)
     sr = rng.uniform(-1.0, 2.0, 60) + 1j * rng.uniform(-80.0, 80.0, 60)
     zs = np.concatenate([s4, 1.0 - s4, sr, 1.0 - sr,
+                         s4 / 2.0, (1.0 - s4) / 2.0, sr / 2.0, (1.0 - sr) / 2.0,
                          0.25 + 0.5j * rng.uniform(-2 * THETA_SERIES_MIN_T, 200.0, 40),
                          rng.uniform(-6.0, 0.5, 40) + 1j * rng.uniform(-3.0, 3.0, 40),
+                         rng.uniform(-50.0, -6.0, 40) + 1j * rng.uniform(-3.0, 3.0, 40),
                          [0.3 + 0.0j, 0.5 + 0.0j, 1.0 + 0.0j, 2.0 + 0.0j, 12.5 + 0.0j,
                           -2.5 + 0.0j, -0.3 + 0.1j]])
     got = _log_gamma(zs)
@@ -452,7 +489,7 @@ def test_log_gamma_against_mpmath(rng):
         for z, lg in zip(zs, got):
             ref = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
             d = lg - ref
-            if z.real < 0.0:  # reflection: right modulo 2 pi i only
+            if z.real < 0.0:  # left of Re z = 0: right modulo 2 pi i only
                 d -= 2j * math.pi * round(d.imag / (2.0 * math.pi))
             assert abs(d) <= 1e-13 * max(1.0, abs(ref)), (z, d)
 
