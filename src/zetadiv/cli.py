@@ -27,9 +27,9 @@ from .divisor import (DivisorTable, delta_grid, load_table, save_table,
                       sieve_divisors)
 from .errors import (CacheError, InvalidArgumentError, PrecisionError,
                      ResourceLimitError, ZetaDivError)
-from .error_terms import (E_atkinson, E_balasubramanian, E_grid, estar_scan,
-                          fit_log_cubic, moment_scan_from_samples, short_interval_ms,
-                          write_columns_csv)
+from .error_terms import (E_atkinson, E_balasubramanian, E_grid, atkinson_cutoffs,
+                          estar_scan, fit_log_cubic, moment_scan_from_samples,
+                          short_interval_ms, write_columns_csv)
 from .exppairs import (ExponentPair, is_process_reachable, parse_fraction,
                        report, search_optimal, write_frontier_csv)
 from .voronoi import (delta_series_target, delta_star_series_target, voronoi_delta,
@@ -158,6 +158,8 @@ def cmd_zeta_eval(args) -> int:
 
 
 def cmd_e_scan(args) -> int:
+    if args.tol < 0:
+        raise InvalidArgumentError(f"--tol must be >= 0, got {args.tol!r}")
     t0 = time.time()
     ts, es, err = E_grid(args.tmax, args.step)
     if err > args.tol:
@@ -172,9 +174,8 @@ def cmd_e_scan(args) -> int:
 
 
 def cmd_atkinson(args) -> int:
-    N = args.N if args.N is not None else args.T
-    limit = int(math.ceil(N)) + 1
-    table, _, _ = cache_table(limit, _cache_dir(args))
+    need = atkinson_cutoffs(args.T, args.N)[2]  # checks --T and --N before sieving
+    table, _, _ = cache_table(need, _cache_dir(args))
     ev = E_atkinson(args.T, args.N, table=table)
     print(f"T={ev.T!r} N={ev.N!r} N'={ev.N_prime!r}")
     print(f"sigma1={ev.sigma1!r} sigma2={ev.sigma2!r} value={ev.value!r}")
@@ -188,6 +189,8 @@ def cmd_balasu(args) -> int:
 
 
 def _estar_table(args) -> DivisorTable:
+    if args.tmax <= 0:
+        raise InvalidArgumentError(f"--tmax must be positive, got {args.tmax!r}")
     return cache_table(int(4 * args.tmax / TWO_PI) + 2, _cache_dir(args))[0]
 
 

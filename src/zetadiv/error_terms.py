@@ -236,6 +236,18 @@ def atkinson_n_prime(T: float, N: float) -> float:
     return T / TWO_PI + N / 2.0 - math.sqrt(N * N / 4.0 + N * T / TWO_PI)
 
 
+def atkinson_cutoffs(T: float, N: float | None = None) -> tuple[float, float, int]:
+    """Check T > 0 and A*T < N < A'*T; return N (default T), N' and the table limit needed."""
+    if T <= 0:
+        raise InvalidArgumentError(f"E_atkinson needs T > 0, got T={T!r}")
+    N = float(T) if N is None else float(N)
+    if not ATKINSON_A * T < N < ATKINSON_A_PRIME * T:
+        raise InvalidArgumentError(
+            f"cutoff N={N} outside ({ATKINSON_A}*T, {ATKINSON_A_PRIME}*T) for T={T}")
+    n_prime = atkinson_n_prime(T, N)
+    return N, n_prime, max(math.floor(N), math.floor(n_prime), 1)
+
+
 def atkinson_f(T, n):
     """Exact phase 2 T arsinh(sqrt(pi n/(2T))) + sqrt(2 pi n T + pi^2 n^2) - pi/4.
 
@@ -269,14 +281,7 @@ def E_atkinson(T: float, N: float | None = None, *, table: DivisorTable) -> Atki
     The divisor table must cover max(N, N').  Remainder is O(log^2 T)
     with a modest constant (the cross-formula tests fit it).
     """
-    if T <= 0:
-        raise InvalidArgumentError("E_atkinson needs T > 0")
-    N = float(T) if N is None else float(N)
-    if not ATKINSON_A * T < N < ATKINSON_A_PRIME * T:
-        raise InvalidArgumentError(
-            f"cutoff N={N} outside ({ATKINSON_A}*T, {ATKINSON_A_PRIME}*T) for T={T}")
-    n_prime = atkinson_n_prime(T, N)
-    need = int(max(math.floor(N), math.floor(n_prime)))
+    N, n_prime, need = atkinson_cutoffs(T, N)
     if need > table.limit:
         raise OutOfRangeError(f"divisor table limit {table.limit} < required {need}")
 

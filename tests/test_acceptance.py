@@ -18,44 +18,36 @@ import numpy as np
 from zetadiv import acceptance
 
 
+def check(num, **kwargs):
+    # run_criterion prints the criterion's verdict line, which pytest shows
+    # with a failure
+    assert acceptance.run_criterion(num, **kwargs), f"criterion {num} failed"
+
+
 def test_criterion_1_exponent_goldens():
-    ok, detail = acceptance.criterion_1()
-    print(f"[criterion 1] {'PASS' if ok else 'FAIL'} - {detail}")
-    assert ok, detail
+    check(1)
 
 
 def test_criterion_2_divisor_identities():
-    ok, detail = acceptance.criterion_2()
-    print(f"[criterion 2] {'PASS' if ok else 'FAIL'} - {detail}")
-    assert ok, detail
+    check(2)
 
 
 def test_criterion_3_voronoi_convergence():
-    ok, detail = acceptance.criterion_3()
-    print(f"[criterion 3] {'PASS' if ok else 'FAIL'} - {detail}")
-    assert ok, detail
+    check(3)
 
 
 def test_criterion_4_zeta_evaluator():
-    ok, detail = acceptance.criterion_4()
-    print(f"[criterion 4] {'PASS' if ok else 'FAIL'} - {detail}")
-    assert ok, detail
+    check(4)
 
 
 def test_criterion_5_three_formula_consistency():
-    ok, detail = acceptance.criterion_5()
-    print(f"[criterion 5] {'PASS' if ok else 'FAIL'} - {detail}")
-    assert ok, detail
+    check(5)
 
 
 def test_criterion_6_subconvexity_witness(monkeypatch, subconvexity_arrays):
     # criterion_6 runs unchanged on the session's scan instead of building its own
     monkeypatch.setattr(acceptance, "subconvexity_scan", lambda: subconvexity_arrays)
-    ok, detail = acceptance.criterion_6()
-    print(f"[criterion 6] {'PASS' if ok else 'FAIL'} - {detail}")
-    assert ok, ("the running-max slope clause fails on honest data; "
-                "see the known-red paragraph under 'Install and test' in README.md -- "
-                + detail)
+    check(6)
 
 
 def test_criterion_6_substance(subconvexity_arrays):
@@ -80,18 +72,12 @@ def test_criterion_6_substance(subconvexity_arrays):
 
 
 def test_criterion_7_moment_suite_full():
-    ok, detail = acceptance.criterion_7(tmax=2e4)
-    print(f"[criterion 7] {'PASS' if ok else 'FAIL'} - full {detail}")
-    assert ok, detail
+    check(7, tmax=2e4)
 
 
 def test_criterion_7_moment_suite_smoke():
-    ok, detail = acceptance.criterion_7(tmax=2e3)
-    print(f"[criterion 7] {'PASS' if ok else 'FAIL'} - smoke {detail}")
-    assert ok, detail
+    check(7, tmax=2e3)
 
 
 def test_criterion_8_search_sanity():
-    ok, detail = acceptance.criterion_8()
-    print(f"[criterion 8] {'PASS' if ok else 'FAIL'} - {detail}")
-    assert ok, detail
+    check(8)

@@ -69,7 +69,6 @@ def test_delta_scan_deterministic_with_manifest(capsys, tmp_path):
     mani = json.load(open(out1 + ".manifest.json"))
     assert mani["command"] == "delta-scan"
     assert mani["config"]["max"] == 2000.0
-    import hashlib
     assert mani["outputs"][out1] == hashlib.sha256(open(out1, "rb").read()).hexdigest()
     assert set(mani) == {"command", "config", "fitted_constants", "outputs", "version",
                          "wall_time_s"}
@@ -216,6 +215,23 @@ def test_e_scan_precision_exit(capsys, tmp_path):
     rc, _, err = run(capsys, "e-scan", "--tmax", "5", "--tol", "0")
     assert rc == 4
     assert "precision" in err.lower() or "tol" in err
+    # a negative tolerance is a usage error, refused before the quadrature
+    rc, _, err = run(capsys, "e-scan", "--tmax", "5", "--tol", "-1")
+    assert rc == 2 and "--tol" in err, err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("atkinson", "--T", "1000", "--N", "3e7"), "cutoff N=30000000.0"),
+    (("atkinson", "--T", "-5"), "T > 0, got T=-5.0"),
+    (("estar-scan", "--tmax", "-5", "--out", "{tmp}/scan.csv"), "--tmax"),
+    (("moments", "--tmax", "-5"), "--tmax"),
+], ids=["atkinson-N", "atkinson-T", "estar-scan-tmax", "moments-tmax"])
+def test_table_commands_check_flags_before_sieving(capsys, tmp_path, argv, named):
+    # a bad flag exits 2 and names itself; no divisor table is sized or cached
+    cache = tmp_path / "cache"
+    rc, out, err = run(capsys, "--cache-dir", str(cache), *[a.format(tmp=tmp_path) for a in argv])
+    assert rc == 2 and named in err, (rc, out, err)
+    assert not (cache / "divisor_table.bin").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -283,6 +299,7 @@ def test_atkinson_and_short_interval_cli(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     rc, out, _ = run(capsys, "--cache-dir", cache, "atkinson", "--T", "400")
     assert rc == 0 and "sigma1=" in out
+    assert load_table(os.path.join(cache, "divisor_table.bin")).limit == 400  # max(N, N')
     rc, out, _ = run(capsys, "short-interval", "--T", "1000", "--G", "10")
     assert rc == 0 and "value/(G*logT)=" in out
 

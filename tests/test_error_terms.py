@@ -101,16 +101,17 @@ def test_panel_count_non_decreasing_in_t():
                    for m, b in zip(counts, bs))
 
 
-def gl16_split(a: float, b: float) -> float:
-    """Reference integral of |zeta|^2 on [a, b]: GL16 on 0.25-pieces also split
-    at the integrand's jumps (t = 200 and every 2 pi K^2), one vectorised call."""
+def gl16_split(a: float, b: float, weight=np.ones_like, joints=()) -> float:
+    """Reference integral of weight |zeta|^2 on [a, b]: GL16 on 0.25-pieces also
+    split at the integrand's jumps (t = 200 and every 2 pi K^2) and at the
+    weight's joints, one vectorised call."""
     ks = np.arange(math.ceil(math.sqrt(a / TWO_PI)), math.floor(math.sqrt(b / TWO_PI)) + 1)
-    cuts = np.unique(np.r_[np.arange(a, b, 0.25), b, TWO_PI * ks * ks, SCAN_RS_MIN_T])
+    cuts = np.unique(np.r_[np.arange(a, b, 0.25), b, TWO_PI * ks * ks, SCAN_RS_MIN_T, joints])
     cuts = cuts[(cuts >= a) & (cuts <= b)]
     x, w = np.polynomial.legendre.leggauss(16)
     lo, hi = cuts[:-1, None], cuts[1:, None]
     ts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-    ys = zeta_abs2_grid(ts.ravel()).reshape(ts.shape)
+    ys = weight(ts) * zeta_abs2_grid(ts.ravel()).reshape(ts.shape)
     return float(np.sum(ys * (0.5 * (hi - lo) * w)))
 
 
@@ -338,6 +339,19 @@ def test_short_interval_window_validation():
         short_interval_ms(100.0, 100.0)  # G = T degenerate
     with pytest.raises(InvalidArgumentError):
         short_interval_ms(100.0, 1.0)
+
+
+@pytest.mark.parametrize("T, G", [(1e4, 1e4 ** (1 / 3)), (1000.0, 10.0), (1e5, 1e5 ** (1 / 3)),
+                                  (300.0, 60.0)], ids=["1e4", "1e3", "1e5", "seam"])
+def test_short_interval_ms_against_gl16(T, G):
+    # the exp_bump window written out again, 1 on [T-G, T+G] with collars to
+    # T +- 2G; (300, 60) straddles the route seam at t = 200
+    def window(ts):
+        u = np.minimum(np.maximum(np.abs(ts - T) - G, 0.0) / G, 1.0)
+        with np.errstate(divide="ignore"):
+            return np.where(u < 1.0, np.exp(1.0 - 1.0 / (1.0 - u * u)), 0.0)
+    ref = gl16_split(T - 2 * G, T + 2 * G, window, (T - G, T + G))
+    assert abs(short_interval_ms(T, G) - ref) <= 1e-7 * ref
 
 
 def test_short_interval_profile_independence():
