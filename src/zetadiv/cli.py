@@ -33,7 +33,7 @@ from .error_terms import (E_atkinson, E_balasubramanian, E_grid, atkinson_cutoff
 from .exppairs import (ExponentPair, is_process_reachable, parse_fraction,
                        report, search_optimal, write_frontier_csv)
 from .voronoi import (delta_series_target, delta_star_series_target, voronoi_delta,
-                      voronoi_delta_star)
+                      voronoi_delta_star, voronoi_term_count)
 from .zeta import TWO_PI, z_function, zeta_em
 
 CACHE_ENV = "ZETADIV_CACHE_DIR"
@@ -134,7 +134,7 @@ def cmd_delta_scan(args) -> int:
 
 def cmd_voronoi(args) -> int:
     # the sum reads d(1..N); the series target reads the table up to x (4x for delta*)
-    limit = args.n
+    limit = voronoi_term_count(args.x, args.n)  # checks --x and --n before sieving
     if args.compare:
         limit = max(limit, math.ceil(4 * args.x if args.star else args.x))
     table, _, _ = cache_table(limit, _cache_dir(args))

@@ -34,12 +34,17 @@ class VoronoiSum:
     term_count: int
 
 
-def _voronoi(table: DivisorTable, x: float, N: int, alternating: bool) -> VoronoiSum:
+def voronoi_term_count(x: float, N: float) -> int:
+    """Check finite x >= 2 and N >= 2; return the term count floor(N)."""
     if not 2 <= N < math.inf:
         raise InvalidArgumentError(f"truncation N must be finite and >= 2, got {N}")
     if not 2 <= x < math.inf:
         raise InvalidArgumentError(f"x must be finite and >= 2, got {x}")
-    n_max = int(math.floor(N))
+    return int(math.floor(N))
+
+
+def _voronoi(table: DivisorTable, x: float, N: int, alternating: bool) -> VoronoiSum:
+    n_max = voronoi_term_count(x, N)
     if n_max > table.limit:
         raise OutOfRangeError(f"N={N} exceeds divisor table limit {table.limit}")
     x = float(x)

@@ -263,10 +263,18 @@ def rs_theta(t):
 # Riemann-Siegel correction coefficients.
 #
 # The remainder kernel  psi_rs(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p)
-# is entire (the cos zeros cancel), so one Chebyshev interpolant of degree
-# 40 on [-0.1, 1.1], fitted once at import, is spectrally accurate for it
-# and its derivatives, and needs no masks: C0 = psi_rs is read off the
-# interpolant, C1 = -psi_rs'''/(96 pi^2) off its chebder.
+# is entire (the cos zeros cancel) and even about p = 1/2.  A Chebyshev
+# interpolant of degree 40 in x = (p - 1/2) / 0.6 on [-0.1, 1.1], fitted
+# at import, is spectrally accurate; its odd coefficients are rounding
+# (<= 6e-16).  With y = 2 x^2 - 1, T_2k(x) = T_k(y), so C0 = psi_rs is the
+# 14-term series in y of its even coefficients up to T_26(x) (the next is
+# 5e-17).  psi_rs''' is odd in x, and psi_rs'''/x is a 12-term series in y,
+# refit at import from the third derivative of that chopped series (a
+# polynomial of degree 22 in x, so the refit is exact).  C1 =
+# -psi_rs'''/(96 pi^2).  Against mpmath on p in [0, 1], C0 is within
+# 2e-15 and psi_rs''' within 6.2e-11; three derivatives of the whole
+# degree-40 fit, which turn its rounding-level tail into a plateau,
+# reached 6.1e-10.
 # ---------------------------------------------------------------------------
 
 def _psi_rs(p):
@@ -274,14 +282,63 @@ def _psi_rs(p):
     return np.cos(TWO_PI * (p * p - p - 0.0625)) / np.cos(TWO_PI * p)
 
 
+def _cheb_nodes(n: int) -> np.ndarray:
+    """The n Chebyshev points of the first kind on [-1, 1]."""
+    return np.cos(np.pi * (np.arange(n) + 0.5) / n)
+
+
 # The plain quotient is safe at the fit's 41 nodes: |cos 2 pi p| >= 0.10
 # there, and fitting the factored form sin(pi v (1-2k) - 2 pi v^2) /
 # sin(2 pi v) (v = p - 1/4 - k/2, sign aside) instead moves no coefficient
 # by more than 2.4e-16.
-_PSI_NODES = np.cos(np.pi * (np.arange(41) + 0.5) / 41)  # x = (p - 0.5) / 0.6
-_PSI_COEF = chebfit(_PSI_NODES, _psi_rs(0.6 * _PSI_NODES + 0.5), 40)
-_PSI3_COEF = chebder(_PSI_COEF, 3) / 0.6**3
+_PSI_NODES = _cheb_nodes(41)  # x = (p - 0.5) / 0.6
+_PSI_EVEN = chebfit(_PSI_NODES, _psi_rs(0.6 * _PSI_NODES + 0.5), 40)[0:28:2]
+# psi_rs''' in T_k(x): three derivatives of the even series with its odd zeros put back
+_PSI3_IN_X = chebder(np.insert(_PSI_EVEN, np.arange(1, 14), 0.0), 3) / 0.6**3
+_Y_NODES = _cheb_nodes(12)
+_X_AT_Y_NODES = np.sqrt(0.5 * (_Y_NODES + 1.0))  # >= 0.066
+_PSI3_OVER_X = chebfit(_Y_NODES, chebval(_X_AT_Y_NODES, _PSI3_IN_X) / _X_AT_Y_NODES, 11)
+#: psi_rs and psi_rs'''/x in T_k(y), k = 0..13, one (2, 1) column per k
+_PSI_Y_COEF = np.stack([_PSI_EVEN, np.pad(_PSI3_OVER_X, (0, 2))], axis=1)[:, :, None]
 _C1_SCALE = -1.0 / (96.0 * math.pi**2)
+_CORR_BLOCK = 8192  # points per block of the correction: its (2, n) arrays are 128 KiB
+
+
+def _psi_terms(x: np.ndarray) -> np.ndarray:
+    """psi_rs and psi_rs'''/x at x = (p - 1/2) / 0.6, as the rows of a (2, x.size) array.
+
+    One Clenshaw loop in y = 2 x^2 - 1 runs both series (the second one's
+    two top coefficients are 0).
+    """
+    y = 2.0 * x * x - 1.0
+    y2 = 2.0 * y
+    b1 = np.empty((2, x.size))
+    b1[:] = _PSI_Y_COEF[-1]
+    b2 = np.zeros_like(b1)
+    w = np.empty_like(b1)
+    for c in _PSI_Y_COEF[-2:0:-1]:
+        np.multiply(y2, b1, out=w)
+        w -= b2
+        w += c
+        b1, b2, w = w, b1, b2
+    b1 *= y
+    b1 -= b2
+    b1 += _PSI_Y_COEF[0]
+    return b1
+
+
+def _rs_correction(t: np.ndarray, K: int) -> np.ndarray:
+    """(-1)^(K-1) (2 pi/t)^(1/4) (C0 + C1 (2 pi/t)^(1/2)) over the points of one K run."""
+    out = np.empty_like(t)
+    for lo in range(0, t.size, _CORR_BLOCK):
+        tb = t[lo:lo + _CORR_BLOCK]
+        root = np.sqrt(tb / TWO_PI)
+        x = (root - K - 0.5) / 0.6  # p = frac(sqrt(t / 2 pi)), x = (p - 1/2) / 0.6
+        psi, psi3_over_x = _psi_terms(x)
+        np.divide(1.0, root, out=root)  # (2 pi / t)^(1/2)
+        corr = psi + _C1_SCALE * (x * psi3_over_x) * root
+        out[lo:lo + _CORR_BLOCK] = np.sqrt(root) * corr
+    return out if K % 2 == 1 else -out  # (-1)^(K-1)
 
 
 def rs_term_count(t) -> int:
@@ -340,14 +397,27 @@ def _is_progression(t: np.ndarray) -> bool:
 def _phase_powers(step: float, start: int, count: int, logn: np.ndarray) -> np.ndarray:
     """Rows e^{-i k step log n} for k = start, ..., start + count - 1.
 
-    k = start + 16 q + r: one exp table over q and one over r, multiplied,
-    so a row costs a complex product instead of an exp per term.
+    k = start + 16 q + r: a table over q and one over r, multiplied, so a
+    row costs a complex product instead of an exp per term.  Each table is
+    a running product (``np.cumprod``) of one exp row, e^{-i step log n}
+    over r from 1 and e^{-i 16 step log n} over q from
+    e^{-i start step log n}, so three rows of exps build both; the
+    products' rounding grows by an ulp or so per step over at most 16
+    steps, far below the rounding of the phases themselves.
     """
     lo = min(count, 16)
     hi = -(-count // lo)
-    a = np.exp(-1j * np.multiply.outer((start + lo * np.arange(hi)) * step, logn))
-    b = np.exp(-1j * np.multiply.outer(step * np.arange(lo), logn))
+    a = _geometric_rows(np.exp(-1j * (start * step) * logn), np.exp(-1j * (lo * step) * logn), hi)
+    b = _geometric_rows(1.0, np.exp(-1j * step * logn), lo)
     return (a[:, None, :] * b).reshape(hi * lo, logn.size)[:count]
+
+
+def _geometric_rows(first, ratio: np.ndarray, count: int) -> np.ndarray:
+    """Rows first * ratio^q for q = 0, ..., count - 1, by a running product."""
+    rows = np.empty((count, ratio.size), dtype=complex)
+    rows[0] = first
+    rows[1:] = ratio
+    return np.cumprod(rows, axis=0, out=rows)
 
 
 def _main_sum_block(t: np.ndarray, th: np.ndarray, K: int) -> np.ndarray:
@@ -390,14 +460,16 @@ def rs_z_grid(ts) -> np.ndarray:
     """Hardy Z(t) on finite t >= 2 pi (any shape) via the Riemann-Siegel formula.
 
     Main sum of floor(sqrt(t/2 pi)) cosines plus the two correction
-    coefficients C0 and C1, both read off the one Chebyshev model of
-    psi_rs.  A K run with K >= ``RS_BLOCK_MIN_K`` whose points are within
-    4 ulp of an arithmetic progression sums its main sum in
-    ``_main_sum_block``; every other run in ``_main_sum_loop``.  The
-    measured absolute error against the Euler-Maclaurin oracle stays under
-    ~0.06 * t^(-5/4), plus the rounding of the phases t log n at large t;
-    a grid whose largest t puts that rounding envelope past
-    ``RS_PHASE_ERR_MAX`` raises PrecisionError before any summing starts.
+    coefficients C0 and C1 from the even/odd Chebyshev model of psi_rs
+    (14 and 12 terms in y = 2x^2 - 1; psi_rs''' within 6.2e-11), both
+    series in one Clenshaw loop over blocks of 8192 points.  A K run with
+    K >= ``RS_BLOCK_MIN_K`` whose points are within 4 ulp of an
+    arithmetic progression sums its main sum in ``_main_sum_block``;
+    every other run in ``_main_sum_loop``.  The measured absolute error
+    against the Euler-Maclaurin oracle stays under ~0.06 * t^(-5/4), plus
+    the rounding of the phases t log n at large t; a grid whose largest t
+    puts that rounding envelope past ``RS_PHASE_ERR_MAX`` raises
+    PrecisionError before any summing starts.
     """
     shape = np.shape(ts)
     ts = np.asarray(ts, dtype=float).ravel()
@@ -429,10 +501,7 @@ def rs_z_grid(ts) -> np.ndarray:
         main_sum = (_main_sum_block if K >= RS_BLOCK_MIN_K and _is_progression(t)
                     else _main_sum_loop)
         acc = main_sum(t, th, K)
-        x = (np.sqrt(t / TWO_PI) - K - 0.5) / 0.6  # p = frac(sqrt(t / 2 pi)), x = (p - 1/2) / 0.6
-        corr = chebval(x, _PSI_COEF) + _C1_SCALE * chebval(x, _PSI3_COEF) * np.sqrt(TWO_PI / t)
-        sign = 1.0 if K % 2 == 1 else -1.0  # (-1)^(K-1)
-        z[lo:hi] = 2.0 * acc + sign * np.power(TWO_PI / t, 0.25) * corr
+        z[lo:hi] = 2.0 * acc + _rs_correction(t, K)
     if perm is not None:
         z[perm] = z.copy()
     return z.reshape(shape)

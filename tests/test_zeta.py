@@ -324,6 +324,34 @@ def assert_within_envelope(z, ref, ts):
     assert np.all(np.abs(np.ravel(z) - np.ravel(ref)) <= tol), float(np.max(np.abs(z - ref)))
 
 
+def phase_rounding_term(t: float, K: int) -> float:
+    """README's rounding term 2u t sum_{2<=n<=K} log(n)/sqrt(n), u = 2^-53."""
+    n = np.arange(2, K + 1)
+    return 2.0 * 2.0 ** -53 * t * float(np.sum(np.log(n) / np.sqrt(n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(200.0, 1e7), st.floats(1e-3, 1.0), st.integers(2, 3000))
+@example(1e7, 1.0, 3000)
+@example(200.0, 1e-3, 2)
+@example(200.0, 0.29013512067197816, 1435)
+@example(TWO_PI * 400.5**2, 0.0147, 2 * 256 + 17)
+def test_block_kernel_matches_loop_on_progressions(t0, h, m):
+    # the kernel's recurrence-built phase tables against one cosine per term
+    # and point (every row of U and V, every slab, a ragged last row), within
+    # README's rounding term at the progression's largest t plus the same
+    # rounding of the loop's theta - t log n, 2u theta sum n^(-1/2), which
+    # is the larger at small K (t0 = 200, h = 0.29, 1435 points: the two
+    # routes differ by 3.7e-13 against a README term of 3.5e-13)
+    t = t0 + h * np.arange(m)
+    K = rs_term_count(t0)
+    th = rs_theta(t)
+    diff = float(np.max(np.abs(zeta._main_sum_block(t, th, K) - _main_sum_loop(t, th, K))))
+    bound = (phase_rounding_term(float(t[-1]), K)
+             + 2.0 * 2.0 ** -53 * float(th[-1]) * float(np.sum(np.arange(1, K + 1) ** -0.5)))
+    assert diff <= bound, (diff, bound)
+
+
 def test_block_kernel_across_the_k_seam(monkeypatch, block_calls):
     # one progression over K = 199, 200 and 201: K = 199 keeps the loop's
     # bits, the K = 200 run (two slabs of rows) and K = 201 take the kernel
@@ -402,11 +430,10 @@ def test_convexity_exponent_domain():
 
 @pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath not installed")
 def test_psi_model_against_mpmath(rng):
-    # the one Chebyshev model of the remainder kernel gives C0 (psi) and C1
-    # (psi''') everywhere on [0, 1], including at the cancelling zeros of
-    # cos(2 pi p) at p = 1/4 and 3/4
-    from numpy.polynomial.chebyshev import chebval
-    from zetadiv.zeta import _PSI3_COEF, _PSI_COEF
+    # the even/odd Chebyshev model of the remainder kernel gives C0 (psi)
+    # and C1 (psi''' = x * psi'''/x) everywhere on [0, 1], including at the
+    # cancelling zeros of cos(2 pi p) at p = 1/4 and 3/4
+    from zetadiv.zeta import _psi_terms
 
     def psi(p):
         return (mpmath.cos(2 * mpmath.pi * (p * p - p - mpmath.mpf(1) / 16))
@@ -414,13 +441,14 @@ def test_psi_model_against_mpmath(rng):
 
     ps = np.concatenate([rng.uniform(0.0, 1.0, 24),
                          0.25 + rng.uniform(-1e-7, 1e-7, 4),
-                         0.75 + rng.uniform(-1e-7, 1e-7, 4), [0.0, 0.5]])
+                         0.75 + rng.uniform(-1e-7, 1e-7, 4), [0.0, 0.5, 1.0]])
+    xs = (ps - 0.5) / 0.6
+    c0, c3_over_x = _psi_terms(xs)
     with mpmath.workdps(30):
-        for p in ps:
-            x = (p - 0.5) / 0.6
+        for p, v0, v3 in zip(ps, c0, xs * c3_over_x):
             mp_p = mpmath.mpf(float(p))
-            assert abs(chebval(x, _PSI_COEF) - float(psi(mp_p))) <= 1e-14, p
-            assert abs(chebval(x, _PSI3_COEF) - float(mpmath.diff(psi, mp_p, 3))) <= 1e-8, p
+            assert abs(v0 - float(psi(mp_p))) <= 1e-14, p
+            assert abs(v3 - float(mpmath.diff(psi, mp_p, 3))) <= 1e-10, p
 
 
 @pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath not installed")
@@ -466,10 +494,8 @@ def test_log_gamma_against_mpmath(rng):
 
 def readme_envelope(t: float) -> float:
     """README's error envelope for Z(t): the correction-series truncation
-    0.053 t^(-5/4) plus the double rounding of the phases t log n,
-    2u t sum log n/sqrt n."""
-    n = np.arange(2, rs_term_count(t) + 1)
-    return 0.053 * t ** -1.25 + 2.0 * 2.0 ** -53 * t * float(np.sum(np.log(n) / np.sqrt(n)))
+    0.053 t^(-5/4) plus the double rounding of the phases t log n."""
+    return 0.053 * t ** -1.25 + phase_rounding_term(t, rs_term_count(t))
 
 
 @pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath not installed")
