@@ -34,7 +34,7 @@ from .exppairs import (ExponentPair, is_process_reachable, parse_fraction,
                        report, search_optimal, write_frontier_csv)
 from .voronoi import (delta_series_target, delta_star_series_target, voronoi_delta,
                       voronoi_delta_star, voronoi_term_count)
-from .zeta import TWO_PI, z_function, zeta_em
+from .zeta import TWO_PI, rs_term_count, z_function, zeta_em
 
 CACHE_ENV = "ZETADIV_CACHE_DIR"
 CACHE_FILENAME = "divisor_table.bin"
@@ -184,7 +184,7 @@ def cmd_atkinson(args) -> int:
 
 def cmd_balasu(args) -> int:
     val = E_balasubramanian(args.T)
-    print(f"T={args.T!r} value={val!r} K={int(math.sqrt(args.T / TWO_PI))}")
+    print(f"T={args.T!r} value={val!r} K={rs_term_count(args.T)}")
     return EXIT_OK
 
 

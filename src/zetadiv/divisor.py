@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CacheError, InvalidArgumentError, OutOfRangeError, ResourceLimitError
+from .errors import (CacheError, InvalidArgumentError, OutOfRangeError, PrecisionError,
+                     ResourceLimitError)
 
 #: Euler's constant, full double precision.  The leading digits 0.57721
 #: are the usual 5-digit value; the cancellation in the remainder's main
@@ -233,11 +234,16 @@ def delta_via_psi(x) -> float:
     """Sieve-free divisor remainder: -2*sum_{n<=sqrt(x)} psi(x/n).
 
     Differs from ``delta`` by a bounded term (observed well under 5 over
-    [10, 1e7]); runs in O(sqrt(x)) bounded blocks with no divisor table.
+    [10, 1e7], within 2.0 on [1e13, 2^53]); runs in O(sqrt(x)) bounded
+    blocks with no divisor table.  Above x = 2^53 the double x/n loses the
+    fractional part psi reads, so such x raise PrecisionError.
     """
     if not 1 <= x < math.inf:
         raise InvalidArgumentError(f"delta_via_psi requires finite x >= 1, got {x}")
     x = float(x)
+    if x > 2.0 ** 53:
+        raise PrecisionError(f"delta_via_psi: x={x!r} is past 2^53, where x/n "
+                             "no longer holds its fractional part")
     return float(-2 * block_sum(math.isqrt(math.floor(x)), lambda n: psi(x / n)))
 
 

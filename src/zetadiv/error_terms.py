@@ -32,7 +32,7 @@ import numpy as np
 from .divisor import DivisorTable, block_sum, delta_star_grid, main_term, sieve_divisors
 from .errors import (InvalidArgumentError, OutOfRangeError, PrecisionError,
                      PrecisionWarning, ResourceLimitError)
-from .zeta import SCAN_RS_MIN_T, TWO_PI, theta1, zeta_abs2_grid
+from .zeta import SCAN_RS_MIN_T, TWO_PI, rs_term_count, theta1, zeta_abs2_grid
 
 #: Atkinson cutoff window: the formula needs A*T < N < A'*T for fixed
 #: 0 < A < A'; these are the configured constants (N defaults to T).
@@ -320,7 +320,7 @@ def E_balasubramanian(T: float) -> float:
     if K > BALASU_K_CAP:
         raise ResourceLimitError(
             f"K={K:.0f} exceeds cap {BALASU_K_CAP} (O(K^2) double sum)")
-    kn = int(math.floor(K))
+    kn = rs_term_count(T)
     n = np.arange(1, kn + 1, dtype=np.float64)
     logn = np.log(n)
     rsn = 1.0 / np.sqrt(n)

@@ -373,7 +373,7 @@ def _phase_rounding_envelope(t: float) -> float:
 RS_BLOCK_MIN_K = 200
 _BLOCK_POINTS = 256  # j1 per row: points in a row of the block
 _BLOCK_TERMS = 128  # terms per tile: a 256 x 128 complex tile is 0.5 MiB
-_SLAB_ROWS = 128  # rows j2 per slab: a slab's complex sums are 0.5 MiB
+_SLAB_ROWS = 128  # rows j2 per slab: a slab's V table is 128 x 128 complex, 0.25 MiB
 
 
 def _main_sum_loop(t: np.ndarray, th: np.ndarray, K: int) -> np.ndarray:
@@ -394,20 +394,17 @@ def _is_progression(t: np.ndarray) -> bool:
     return dev <= 4.0 * float(np.spacing(max(t[0], t[-1])))
 
 
-def _phase_powers(step: float, start: int, count: int, logn: np.ndarray) -> np.ndarray:
-    """Rows e^{-i k step log n} for k = start, ..., start + count - 1.
+def _phase_powers(first, step: float, count: int, logn: np.ndarray) -> np.ndarray:
+    """Rows first * e^{-i k step log n} for k = 0, ..., count - 1.
 
-    k = start + 16 q + r: a table over q and one over r, multiplied, so a
-    row costs a complex product instead of an exp per term.  Each table is
-    a running product (``np.cumprod``) of one exp row, e^{-i step log n}
-    over r from 1 and e^{-i 16 step log n} over q from
-    e^{-i start step log n}, so three rows of exps build both; the
-    products' rounding grows by an ulp or so per step over at most 16
-    steps, far below the rounding of the phases themselves.
+    k = 16 q + r: running products (``np.cumprod``) of e^{-i 16 step log n}
+    over q from ``first`` and of e^{-i step log n} over r from 1, multiplied,
+    so two rows of exps build the table; the products' rounding grows by an
+    ulp or so per step over at most 16 steps, far below that of the phases.
     """
     lo = min(count, 16)
     hi = -(-count // lo)
-    a = _geometric_rows(np.exp(-1j * (start * step) * logn), np.exp(-1j * (lo * step) * logn), hi)
+    a = _geometric_rows(first, np.exp(-1j * (lo * step) * logn), hi)
     b = _geometric_rows(1.0, np.exp(-1j * step * logn), lo)
     return (a[:, None, :] * b).reshape(hi * lo, logn.size)[:count]
 
@@ -423,37 +420,31 @@ def _geometric_rows(first, ratio: np.ndarray, count: int) -> np.ndarray:
 def _main_sum_block(t: np.ndarray, th: np.ndarray, K: int) -> np.ndarray:
     """The main sum of ``_main_sum_loop`` over a progression t_j = t_0 + j h.
 
-    With j = j1 + 256 j2, P_j = sum_n n^(-1/2) e^{-i t_j log n} is
-    (V c) @ U.T for c_n = n^(-1/2) e^{-i t_0 log n}, U[j1, n] =
-    e^{-i j1 h log n} and V[j2, n] = e^{-i 256 j2 h log n}
-    (Odlyzko-Schonhage).  Each slab of up to 128 rows j2 sums complex
-    GEMMs over tiles of 128 terms (every tile and the slab's sums are at
-    most 0.5 MiB) and is written as
-    Re(e^{i theta} P) = cos(theta) Re P - sin(theta) Im P.  U is rebuilt
-    for each slab, so memory stays flat in the run length.
+    For a slab of up to 128 rows j2 from point s, j = s + j1 + 256 j2 and
+    P_j = sum_n n^(-1/2) e^{-i t_j log n} is V @ U.T with U[j1, n] =
+    e^{-i j1 h log n} and V[j2, n] = n^(-1/2) e^{-i (t_s + 256 j2 h) log n}
+    (Odlyzko-Schonhage), so each slab starts from its own phase at t_s.
+    A tile of 128 terms builds its U once and adds one GEMM per slab to
+    the run's sums P (16 bytes per point); Z's main sum is
+    Re(e^{i theta} P) = cos(theta) Re P - sin(theta) Im P.
     """
     m = t.size
     h = (t[-1] - t[0]) / (m - 1)
     n = np.arange(1, K + 1, dtype=np.float64)
-    logn = np.log(n)
-    c = np.exp(-1j * t[0] * logn) / np.sqrt(n)
+    logn, root = np.log(n), np.sqrt(n)
     cols = min(m, _BLOCK_POINTS)
     rows_total = -(-m // cols)
-    out = np.empty(m)
-    for r0 in range(0, rows_total, _SLAB_ROWS):
-        rows = min(_SLAB_ROWS, rows_total - r0)
-        p = np.zeros((rows, cols), dtype=complex)
-        for n0 in range(0, K, _BLOCK_TERMS):
-            ln = logn[n0:n0 + _BLOCK_TERMS]
-            u = _phase_powers(h, 0, cols, ln)
-            v = _phase_powers(cols * h, r0, rows, ln)
-            v *= c[n0:n0 + _BLOCK_TERMS]
-            p += v @ u.T
-        lo, hi = r0 * cols, min(m, (r0 + rows) * cols)
-        p = p.ravel()[:hi - lo]
-        out[lo:hi] = np.cos(th[lo:hi]) * p.real
-        out[lo:hi] -= np.sin(th[lo:hi]) * p.imag
-    return out
+    p = np.zeros((rows_total, cols), dtype=complex)
+    for n0 in range(0, K, _BLOCK_TERMS):
+        ln, rt = logn[n0:n0 + _BLOCK_TERMS], root[n0:n0 + _BLOCK_TERMS]
+        u_t = _phase_powers(1.0, h, cols, ln).T
+        for r0 in range(0, rows_total, _SLAB_ROWS):
+            # e^{-i t_s log n} as e^{-i t_0 log n} e^{-i s h log n}: t_0 + s h is never rounded
+            first = np.exp(-1j * t[0] * ln) * np.exp(-1j * (r0 * (cols * h)) * ln) / rt
+            v = _phase_powers(first, cols * h, min(_SLAB_ROWS, rows_total - r0), ln)
+            p[r0:r0 + _SLAB_ROWS] += v @ u_t
+    p = p.ravel()[:m]
+    return np.cos(th) * p.real - np.sin(th) * p.imag
 
 
 def rs_z_grid(ts) -> np.ndarray:

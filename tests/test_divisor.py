@@ -1,5 +1,6 @@
 import math
 import struct
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zetadiv import (EULER_GAMMA, CacheError, InvalidArgumentError, OutOfRangeError,
-                     ResourceLimitError, delta, delta_star, delta_star_alternating,
-                     delta_via_psi, divisor_sum, hyperbola_divisor_sum, load_table,
-                     main_term, psi, save_table, sieve_divisors)
-from zetadiv.divisor import DEFAULT_SEGMENT, HYPERBOLA_X_CAP
+                     PrecisionError, ResourceLimitError, delta, delta_star,
+                     delta_star_alternating, delta_via_psi, divisor_sum,
+                     hyperbola_divisor_sum, load_table, main_term, psi, save_table,
+                     sieve_divisors)
+from zetadiv.divisor import DEFAULT_SEGMENT, HYPERBOLA_X_CAP, SUM_BLOCK, block_sum
 
 
 def trial_division_d(n: int) -> int:
@@ -155,6 +157,14 @@ def test_hyperbola_identity_random():
     assert hyperbola_divisor_sum(m) == 2 * sum(m // n for n in range(1, r + 1)) - r * r
 
 
+@given(st.integers(0, 3), st.integers(-3, 3))
+def test_block_sum_matches_python_sum(blocks, offset):
+    # n_max on and around each block seam: no block is dropped or repeated
+    n_max = max(0, blocks * SUM_BLOCK + offset)
+    expected = sum(k * k % 7 - k for k in range(1, n_max + 1))
+    assert block_sum(n_max, lambda n: n * n % 7 - n) == expected
+
+
 def test_hyperbola_cap():
     # above ~1.04e18 the int64 sum of the first block of m // n wraps; the
     # cap refuses before any block is summed
@@ -197,6 +207,20 @@ def test_delta_via_psi_single_term():
     assert delta_via_psi(1) == 1.0
     with pytest.raises(InvalidArgumentError):
         delta_via_psi(0.5)
+
+
+def test_delta_via_psi_refuses_x_past_2_53():
+    # up to 2^53 the psi route is within criterion 2's bound of 5 of the
+    # exact remainder (integer sum minus the main term in Decimal); past it
+    # the double x/n drops the fractional part psi reads
+    x = 2.0 ** 53
+    gamma = Decimal("0.57721566490153286060651209008240243104215933594")
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = Decimal(hyperbola_divisor_sum(x)) - Decimal(x) * (Decimal(x).ln() + 2 * gamma - 1)
+    assert abs(delta_via_psi(x) - float(exact)) <= 5.0
+    with pytest.raises(PrecisionError):
+        delta_via_psi(math.nextafter(x, math.inf))
 
 
 def test_delta_star_matches_remainder_combination(table_small, rng):

@@ -50,7 +50,7 @@ def test_E_direct_additivity():
     assert abs((i2 - i1) - simpson(t1, t2, 8192)) < 0.01
 
 
-def test_shared_simpson_samples_match_separate_grids():
+def test_shared_gl_samples_match_separate_grids():
     # extend_to integrates a chunk group in one batched call; each piece's
     # value must have the same bits as integrating that piece on its own,
     # below, across and above the Euler-Maclaurin / Riemann-Siegel seam at

@@ -276,6 +276,19 @@ def test_rs_z_grid_k_runs_bit_identical(rng):
         assert z[i] == rs_z_grid(shuffled[i:i + 1])[0], shuffled[i]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(TWO_PI, TWO_PI * 199.9**2), min_size=2, max_size=40), st.data())
+def test_rs_z_grid_commutes_with_permutation_and_reshape(ts, data):
+    # loop runs (K < 200) give each point its own bits: a permuted grid gives
+    # the permuted values and a reshaped grid the reshaped ones
+    ts = np.array(ts)
+    z = rs_z_grid(ts)
+    perm = np.array(data.draw(st.permutations(range(ts.size))))
+    assert np.array_equal(rs_z_grid(ts[perm]), z[perm])
+    rows = data.draw(st.sampled_from([d for d in range(1, ts.size + 1) if ts.size % d == 0]))
+    assert np.array_equal(rs_z_grid(ts.reshape(rows, -1)), z.reshape(rows, -1))
+
+
 def test_rs_z_grid_keeps_input_shape():
     # a 0-d and a 2-d input each give the 1-d result in the input's shape
     flat = np.array([1000.0, 1000.5, 2345.0, 7000.25, 300.0, 5e4])
@@ -336,9 +349,11 @@ def phase_rounding_term(t: float, K: int) -> float:
 @example(200.0, 1e-3, 2)
 @example(200.0, 0.29013512067197816, 1435)
 @example(TWO_PI * 400.5**2, 0.0147, 2 * 256 + 17)
+@example(TWO_PI * 200.5**2, 0.01, 2 * 128 * 256 + 300)
 def test_block_kernel_matches_loop_on_progressions(t0, h, m):
     # the kernel's recurrence-built phase tables against one cosine per term
-    # and point (every row of U and V, every slab, a ragged last row), within
+    # and point (every row of U and V, a ragged last row; the drawn runs
+    # have one slab, the last example three, each from its own base), within
     # README's rounding term at the progression's largest t plus the same
     # rounding of the loop's theta - t log n, 2u theta sum n^(-1/2), which
     # is the larger at small K (t0 = 200, h = 0.29, 1435 points: the two
