@@ -27,8 +27,8 @@ from .divisor import (DivisorTable, delta_grid, load_table, save_table,
                       sieve_divisors)
 from .errors import (CacheError, InvalidArgumentError, PrecisionError,
                      ResourceLimitError, ZetaDivError)
-from .error_terms import (E_atkinson, E_balasubramanian, E_grid, atkinson_cutoffs,
-                          estar_scan, fit_log_cubic, moment_scan_from_samples,
+from .error_terms import (E_GRID_MAX_POINTS, E_atkinson, E_balasubramanian, E_grid,
+                          atkinson_cutoffs, estar_scan, fit_log_cubic, moment_scan_from_samples,
                           short_interval_ms, write_columns_csv)
 from .exppairs import (ExponentPair, is_process_reachable, parse_fraction,
                        report, search_optimal, write_frontier_csv)
@@ -93,8 +93,16 @@ def cache_table(limit: int, cache_dir: str) -> tuple[DivisorTable, str, str]:
 
 def _float_grid(lo: float, hi: float, step: float | None, count: int | None,
                 log_spaced: bool) -> np.ndarray:
+    """The --count or --step grid on [lo, hi]; ``E_GRID_MAX_POINTS`` points or
+    more raise ResourceLimitError before anything is allocated."""
     if hi <= lo:
         raise InvalidArgumentError(f"empty range: min={lo}, max={hi}")
+    if count is None and (step is None or step <= 0):
+        raise InvalidArgumentError("need a positive --step or a --count")
+    points = count if count is not None else (hi - lo) / step + 1.0
+    if points >= E_GRID_MAX_POINTS:
+        raise ResourceLimitError(f"{points:.3e} grid points reach the cap of "
+                                 f"{E_GRID_MAX_POINTS}")
     if count is not None:
         if count < 2:
             raise InvalidArgumentError("count must be >= 2")
@@ -103,8 +111,6 @@ def _float_grid(lo: float, hi: float, step: float | None, count: int | None,
                 raise InvalidArgumentError("log spacing needs min > 0")
             return np.exp(np.linspace(math.log(lo), math.log(hi), count))
         return np.linspace(lo, hi, count)
-    if step is None or step <= 0:
-        raise InvalidArgumentError("need a positive --step or a --count")
     n = int(math.floor((hi - lo) / step + 1e-9))
     return lo + step * np.arange(n + 1)
 
@@ -236,10 +242,9 @@ def cmd_moments(args) -> int:
 
 
 def cmd_short_interval(args) -> int:
-    val = short_interval_ms(args.T, args.G, profile=args.profile)
+    val = short_interval_ms(args.T, args.G)
     ratio = val / (args.G * math.log(args.T))
-    print(f"T={args.T!r} G={args.G!r} profile={args.profile} "
-          f"value={val!r} value/(G*logT)={ratio!r}")
+    print(f"T={args.T!r} G={args.G!r} value={val!r} value/(G*logT)={ratio!r}")
     return EXIT_OK
 
 
@@ -264,14 +269,13 @@ def cmd_exppair_search(args) -> int:
     t0 = time.time()
     res = search_optimal(args.depth)
     best = res.best
-    print(f"best {args.objective} = {getattr(best, args.objective)} "
-          f"(~{float(getattr(best, args.objective)):.6f}) at pair "
+    print(f"best theta_div = {best.theta_div} (~{float(best.theta_div):.6f}) at pair "
           f"({best.pair.kappa}, {best.pair.lam}) word={best.pair.word or 'seed'}")
     print(f"explored {res.explored} distinct pairs; frontier size {len(res.frontier)}")
     if args.out:
         write_frontier_csv(res.frontier, args.out)
         _write_manifest(args, t0, [args.out],
-                        {"best_" + args.objective: str(getattr(best, args.objective))})
+                        {"best_theta_div": str(best.theta_div)})
         print(f"wrote frontier to {args.out}")
     return EXIT_OK
 
@@ -361,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("short-interval", help="smoothed short-interval mean square")
     sp.add_argument("--T", type=float, required=True)
     sp.add_argument("--G", type=float, required=True)
-    sp.add_argument("--profile", default="exp_bump",
-                    choices=("exp_bump", "ratio_bump"))
     sp.set_defaults(func=cmd_short_interval)
 
     sp = sub.add_parser("exppair-report", help="exact exponents of one pair")
@@ -374,9 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("exppair-search", help="exhaustive A/B word search")
     sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--objective", default="theta_div",
-                    choices=("theta_div", "theta_zeta"),
-                    help="exponent printed for the best pair (one pair minimises both)")
     sp.add_argument("--out", default=None, help="frontier CSV path")
     sp.set_defaults(func=cmd_exppair_search)
 

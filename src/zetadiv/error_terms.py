@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divisor import DivisorTable, block_sum, delta_star_grid, main_term, sieve_divisors
+from .divisor import (MAX_SIEVE_LIMIT, DivisorTable, block_sum, delta_star_grid, main_term,
+                      sieve_divisors)
 from .errors import (InvalidArgumentError, OutOfRangeError, PrecisionError,
                      PrecisionWarning, ResourceLimitError)
 from .zeta import SCAN_RS_MIN_T, TWO_PI, rs_term_count, theta1, zeta_abs2_grid
@@ -41,7 +42,6 @@ ATKINSON_A_PRIME = 2.0
 
 #: Largest Riemann-Siegel length K the O(K^2) Balasubramanian sum accepts.
 BALASU_K_CAP = 10**4
-_BALASU_BLOCK = 512
 
 #: First dyadic moment checkpoint is 2^MOMENT_J_MIN.
 MOMENT_J_MIN = 4
@@ -237,13 +237,19 @@ def atkinson_n_prime(T: float, N: float) -> float:
 
 
 def atkinson_cutoffs(T: float, N: float | None = None) -> tuple[float, float, int]:
-    """Check T > 0 and A*T < N < A'*T; return N (default T), N' and the table limit needed."""
+    """Check T > 0 and A*T < N < A'*T; return N (default T), N' and the table limit needed.
+
+    An N past ``MAX_SIEVE_LIMIT`` raises ResourceLimitError before N' is
+    formed: no divisor table holds that many entries.
+    """
     if T <= 0:
         raise InvalidArgumentError(f"E_atkinson needs T > 0, got T={T!r}")
     N = float(T) if N is None else float(N)
     if not ATKINSON_A * T < N < ATKINSON_A_PRIME * T:
         raise InvalidArgumentError(
             f"cutoff N={N} outside ({ATKINSON_A}*T, {ATKINSON_A_PRIME}*T) for T={T}")
+    if math.floor(N) > MAX_SIEVE_LIMIT:
+        raise ResourceLimitError(f"cutoff N={N!r} exceeds the sieve cap {MAX_SIEVE_LIMIT}")
     n_prime = atkinson_n_prime(T, N)
     return N, n_prime, max(math.floor(N), math.floor(n_prime), 1)
 
@@ -311,8 +317,10 @@ def E_balasubramanian(T: float) -> float:
 
     First sum: sin(T log(n/m)) / (sqrt(mn) log(n/m)); second sum:
     sin(2 theta1 - T log(mn)) / (sqrt(mn) (log(T/(2 pi)) - log(mn)));
-    both over m != n, doubled.  O(K^2) work, blocked to keep memory flat;
-    K above ``BALASU_K_CAP`` raises ResourceLimitError.  Remainder O(log^2 T).
+    both over m != n, doubled.  Both terms are symmetric in (m, n), so each
+    row m sums n > m once and the total counts four times: O(K^2) work,
+    O(K) memory.  K above ``BALASU_K_CAP`` raises ResourceLimitError.
+    Remainder O(log^2 T).
     """
     if not 0.0 < T < math.inf:
         raise InvalidArgumentError(f"E_balasubramanian needs finite T > 0, got {T!r}")
@@ -321,38 +329,19 @@ def E_balasubramanian(T: float) -> float:
         raise ResourceLimitError(
             f"K={K:.0f} exceeds cap {BALASU_K_CAP} (O(K^2) double sum)")
     kn = rs_term_count(T)
+    if kn < 2:
+        return 0.0  # no pair m != n
     n = np.arange(1, kn + 1, dtype=np.float64)
     logn = np.log(n)
     rsn = 1.0 / np.sqrt(n)
-    th1 = theta1(T)
-    two_theta1_deriv = math.log(T / TWO_PI)
-    s1 = 0.0
-    s2 = 0.0
-    # one (block, kn) buffer each for log(n/m) then log(mn), the amplitude
-    # and the terms; every block reuses them through out= ufuncs
-    bufs = np.empty((3, min(_BALASU_BLOCK, kn), kn))
-    for lo in range(0, kn, _BALASU_BLOCK):
-        hi = min(lo + _BALASU_BLOCK, kn)
-        lg, amp, t = bufs[:, :hi - lo]
-        np.subtract(logn[lo:hi, None], logn[None, :], out=lg)
-        np.fill_diagonal(lg[:, lo:hi], 1.0)  # m == n terms are zeroed below
-        np.multiply(rsn[lo:hi, None], rsn[None, :], out=amp)
-        np.multiply(T, lg, out=t)
-        np.sin(t, out=t)
-        np.divide(t, lg, out=t)
-        np.multiply(t, amp, out=t)
-        np.fill_diagonal(t[:, lo:hi], 0.0)
-        s1 += float(np.sum(t))
-        np.add(logn[lo:hi, None], logn[None, :], out=lg)
-        np.multiply(T, lg, out=t)
-        np.subtract(2.0 * th1, t, out=t)
-        np.sin(t, out=t)
-        np.subtract(two_theta1_deriv, lg, out=lg)
-        np.divide(t, lg, out=t)
-        np.multiply(t, amp, out=t)
-        np.fill_diagonal(t[:, lo:hi], 0.0)
-        s2 += float(np.sum(t))
-    return 2.0 * s1 + 2.0 * s2
+    two_th1 = 2.0 * theta1(T)
+    log_t = math.log(T / TWO_PI)
+    total = 0.0
+    for m in range(kn - 1):
+        lg, lp = logn[m + 1:] - logn[m], logn[m + 1:] + logn[m]
+        total += float(rsn[m] * np.sum(rsn[m + 1:] * (
+            np.sin(T * lg) / lg + np.sin(two_th1 - T * lp) / (log_t - lp))))
+    return 4.0 * total
 
 
 # ---------------------------------------------------------------------------
@@ -489,59 +478,38 @@ def fit_log_cubic(results: list[MomentResult]) -> tuple[np.ndarray, np.ndarray]:
 # Smoothed short-interval mean square
 # ---------------------------------------------------------------------------
 
-def _bump_exp(u: np.ndarray) -> np.ndarray:
-    """C-infinity collar profile exp(1 - 1/(1 - u^2)) on [0, 1)."""
-    out = np.zeros_like(u)
-    inner = u < 1.0
-    ui = u[inner]
-    out[inner] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
-    return out
-
-
-def _bump_ratio(u: np.ndarray) -> np.ndarray:
-    """Alternative C-infinity collar profile exp(-u^2/(1 - u^2)) on [0, 1)."""
-    out = np.zeros_like(u)
-    inner = u < 1.0
-    ui = u[inner]
-    out[inner] = np.exp(-ui * ui / (1.0 - ui * ui))
-    return out
-
-
-BUMP_PROFILES = {"exp_bump": _bump_exp, "ratio_bump": _bump_ratio}
-
-
-def smooth_window(ts: np.ndarray, T: float, G: float, profile: str = "exp_bump") -> np.ndarray:
-    """Weight that is 1 on [T-G, T+G], 0 outside [T-2G, T+2G], smooth between."""
-    try:
-        prof = BUMP_PROFILES[profile]
-    except KeyError:
-        raise InvalidArgumentError(
-            f"unknown profile {profile!r}; choose from {sorted(BUMP_PROFILES)}")
+def smooth_window(ts: np.ndarray, T: float, G: float) -> np.ndarray:
+    """Weight that is 1 on [T-G, T+G], 0 outside [T-2G, T+2G], and the
+    C-infinity collar exp(1 - 1/(1 - u^2)) between, u = (|t - T| - G)/G."""
     u = (np.abs(np.asarray(ts, dtype=float) - T) - G) / G
-    w = np.ones_like(u)
-    outer = u > 0
-    w[outer] = prof(np.minimum(u[outer], 1.0))
+    w = np.where(u < 1.0, 1.0, 0.0)
+    collar = (u > 0) & (u < 1.0)
+    uc = u[collar]
+    w[collar] = np.exp(1.0 - 1.0 / (1.0 - uc * uc))
     return w
 
 
-def short_interval_ms(T: float, G: float, *, profile: str = "exp_bump") -> float:
+def short_interval_ms(T: float, G: float) -> float:
     """Smoothed mean square integral f(t) |zeta(1/2+it)|^2 dt around T.
 
-    f is 1 on [T-G, T+G] and decays to 0 on the outer G-collars with the
-    chosen C-infinity profile.  Admissible windows are 2 <= G <= T/2
-    (the theoretical T^eps <= G <= T^{1-eps} corridor at desk scale).
-    f |zeta|^2 goes to ``_gl_pieces`` on pieces of about 0.25 over [T-2G,
-    T+2G]; PrecisionError if the audit exceeds max(0.05, 1e-6 |value|).
+    f is ``smooth_window``: 1 on [T-G, T+G], decaying to 0 on the outer
+    G-collars.  Admissible windows are 2 <= G <= T/2 (the theoretical
+    T^eps <= G <= T^{1-eps} corridor at desk scale).  f |zeta|^2 goes to
+    ``_gl_pieces`` on pieces of about 0.25 over [T-2G, T+2G];
+    PrecisionError if that window collapses in double or the audit
+    exceeds max(0.05, 1e-6 |value|).
     """
     if not (math.isfinite(T) and 2.0 <= G <= T / 2.0):
         raise InvalidArgumentError(f"need finite T and 2 <= G <= T/2, got T={T!r}, G={G!r}")
     a, b = T - 2.0 * G, T + 2.0 * G
+    if not a < b:
+        raise PrecisionError(f"window [T-2G, T+2G] collapses in double at T={T!r}, G={G!r}")
     n = math.ceil((b - a) / 0.25)
     width = (b - a) / n
     m = _panel_count(width, b)
     _check_nodes(n * m * GL_NODES)
     vals, worst = _gl_pieces(a + width * np.arange(n), width, m,
-                             lambda ts: smooth_window(ts, T, G, profile) * zeta_abs2_grid(ts))
+                             lambda ts: smooth_window(ts, T, G) * zeta_abs2_grid(ts))
     value, err = float(np.sum(vals)), worst * n
     if err > max(0.05, 1e-6 * abs(value)):
         raise PrecisionError(f"short-interval audit estimate {err:.3e} exceeds the tolerance")

@@ -4,12 +4,12 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zetadiv import (EULER_GAMMA, CacheError, InvalidArgumentError, OutOfRangeError,
                      PrecisionError, ResourceLimitError, delta, delta_star,
-                     delta_star_alternating, delta_via_psi, divisor_sum,
+                     delta_star_alternating, delta_star_grid, delta_via_psi, divisor_sum,
                      hyperbola_divisor_sum, load_table, main_term, psi, save_table,
                      sieve_divisors)
 from zetadiv.divisor import DEFAULT_SEGMENT, HYPERBOLA_X_CAP, SUM_BLOCK, block_sum
@@ -165,6 +165,13 @@ def test_block_sum_matches_python_sum(blocks, offset):
     assert block_sum(n_max, lambda n: n * n % 7 - n) == expected
 
 
+@given(st.one_of(st.integers(0, 10**7), st.floats(0.0, 1e7)))
+@example(x=10**7)
+def test_hyperbola_sum_matches_table(table_big, x):
+    # the hyperbola identity is exact on every x the table to 1e7 covers
+    assert hyperbola_divisor_sum(x) == divisor_sum(table_big, x)
+
+
 def test_hyperbola_cap():
     # above ~1.04e18 the int64 sum of the first block of m // n wraps; the
     # cap refuses before any block is summed
@@ -231,6 +238,16 @@ def test_delta_star_matches_remainder_combination(table_small, rng):
                  + 2 * delta(table_small, 2 * x).delta
                  - 0.5 * delta(table_small, 4 * x).delta)
         assert abs(combo - delta_star(table_small, x)) < 1e-6 * max(1.0, abs(combo))
+
+
+@given(st.lists(st.floats(0.0, 2.5e6, exclude_min=True), min_size=1, max_size=20))
+def test_delta_star_matches_grid(table_big, xs):
+    # the divisor-sum combination against the alternating prefix route, on x
+    # up to the 4x the table to 1e7 covers, within criterion 2's bound
+    grid = delta_star_grid(table_big, np.array(xs)).tolist()
+    for x, b in zip(xs, grid):
+        a = delta_star(table_big, x)
+        assert abs(a - b) <= 1e-9 * max(1.0, abs(a)), x
 
 
 def test_delta_star_quarter_point(table_small):
