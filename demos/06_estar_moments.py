@@ -25,14 +25,13 @@ frac = np.mean(np.abs(scan.E_star[m]) < np.maximum(np.abs(scan.E[m]),
 print(f"  |E*| is the smallest of the three on {100 * frac:.1f}% of the grid")
 
 print("\nmoment ratios at dyadic checkpoints (bounded ratios = the scales fit):")
-for k in (2, 4, 5):
-    res = moment_scan_from_samples(scan.t, scan.E_star, k)
-    line = "  k=%d: " % k + "  ".join(f"T=2^{int(np.log2(r.T))}:{r.ratio:.3g}"
-                                      for r in res[-5:])
+moments = {k: moment_scan_from_samples(scan.t, scan.E_star, k) for k in (2, 4, 5)}
+for k, (T, _, _, ratio) in moments.items():
+    line = "  k=%d: " % k + "  ".join(f"T=2^{int(np.log2(t))}:{r:.3g}"
+                                      for t, r in zip(T[-5:].tolist(), ratio[-5:].tolist()))
     print(line)
 
-res2 = moment_scan_from_samples(scan.t, scan.E_star, 2)
-coef, rel = fit_log_cubic(res2)
+coef, rel = fit_log_cubic(*moments[2][:2])
 print("\ncubic-in-log-T fit of the k=2 moment over T^{4/3}:")
 print(f"  coefficients (highest first): {np.round(coef, 4)}")
 print(f"  relative residuals at the top checkpoints: "

@@ -18,7 +18,7 @@ from .errors import (CacheError, InvalidArgumentError, OutOfRangeError,
                      PrecisionError, PrecisionWarning, ResourceLimitError,
                      ZetaDivError)
 from .error_terms import (AtkinsonEval, E_atkinson, E_balasubramanian, E_direct,
-                          E_grid, MomentResult, ScanResult, ZetaMeanSquare,
+                          E_grid, ScanResult, ZetaMeanSquare,
                           empirical_exponent, estar_scan, fit_log_cubic,
                           moment_scan_from_samples, short_interval_ms)
 from .exppairs import (ExponentPair, ExponentReport, SearchResult, apply_A,

@@ -176,12 +176,11 @@ def criterion_7(tmax: float = 2e4) -> tuple[bool, str]:
     ok = True
     details = []
     moments = {k: moment_scan_from_samples(scan.t, scan.E_star, k) for k in (2, 4, 5)}
-    for k, res in moments.items():
-        ratios = [r.ratio for r in res[-4:]]
-        spread = max(ratios) / min(ratios)
+    for k, (_, _, _, ratio) in moments.items():
+        spread = float(np.max(ratio[-4:]) / np.min(ratio[-4:]))
         ok = ok and spread <= 10.0
         details.append(f"k={k} top-4 spread {spread:.2f}")
-    _, rel = fit_log_cubic(moments[2])
+    _, rel = fit_log_cubic(*moments[2][:2])
     cubic_worst = float(np.max(rel[-4:]))
     ok = ok and cubic_worst <= 0.10
     details.append(f"cubic fit top-4 residual {100 * cubic_worst:.2f}%")

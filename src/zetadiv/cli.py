@@ -7,7 +7,7 @@ version: fixed iteration orders, no randomised quadrature, shortest
 round-trip float formatting.
 
 Exit codes: 0 success, 1 an acceptance criterion failed, 2 usage /
-invalid argument, 3 resource cap, 4 precision failure.
+invalid argument / unwritable output, 3 resource cap, 4 precision failure.
 """
 
 from __future__ import annotations
@@ -97,8 +97,12 @@ def _float_grid(lo: float, hi: float, step: float | None, count: int | None,
     more raise ResourceLimitError before anything is allocated."""
     if hi <= lo:
         raise InvalidArgumentError(f"empty range: min={lo}, max={hi}")
-    if count is None and (step is None or step <= 0):
-        raise InvalidArgumentError("need a positive --step or a --count")
+    if (step is None) == (count is None):
+        raise InvalidArgumentError("give exactly one of --step and --count")
+    if log_spaced and count is None:
+        raise InvalidArgumentError("--log-spaced needs --count")
+    if count is None and step <= 0:
+        raise InvalidArgumentError(f"--step must be positive, got {step!r}")
     points = count if count is not None else (hi - lo) / step + 1.0
     if points >= E_GRID_MAX_POINTS:
         raise ResourceLimitError(f"{points:.3e} grid points reach the cap of "
@@ -128,7 +132,7 @@ def cmd_delta_scan(args) -> int:
     table, cache_path, status = cache_table(int(math.ceil(args.max)), _cache_dir(args))
     ds = delta_grid(table, xs)
     if args.out:
-        write_columns_csv(args.out, "x,delta", (xs.tolist(), ds.tolist()))
+        write_columns_csv(args.out, "x,delta", (xs, ds))
         _write_manifest(args, t0, [args.out], {"max_abs_delta": float(np.max(np.abs(ds)))},
                         cache_status=status)
         print(f"wrote {xs.size} rows to {args.out} (cache: {status} at {cache_path})")
@@ -171,7 +175,7 @@ def cmd_e_scan(args) -> int:
     if err > args.tol:
         raise PrecisionError(f"quadrature error estimate {err:.3e} exceeds --tol {args.tol}")
     if args.out:
-        write_columns_csv(args.out, "t,E", (ts.tolist(), es.tolist()))
+        write_columns_csv(args.out, "t,E", (ts, es))
         _write_manifest(args, t0, [args.out], {"quadrature_error_estimate": err})
         print(f"wrote {ts.size} rows to {args.out}")
     else:
@@ -219,23 +223,22 @@ def cmd_moments(args) -> int:
     t0 = time.time()
     table = _estar_table(args)
     scan = estar_scan(args.tmax, args.step, table=table)
-    results = moment_scan_from_samples(scan.t, scan.E_star, args.k)
+    columns = moment_scan_from_samples(scan.t, scan.E_star, args.k)
+    T, integral = columns[:2]
     fitted = {}
-    if args.k == 2 and len(results) >= 4:
-        coef, rel = fit_log_cubic(results)
+    if args.k == 2 and T.size >= 4:
+        coef, rel = fit_log_cubic(T, integral)
         fitted = {"log_cubic_coefficients": coef.tolist(),
                   "log_cubic_max_rel_residual_top4": float(np.max(rel[-4:]))}
     header = "T,integral,normalizer,ratio"
-    rows = ([r.T for r in results], [r.integral for r in results],
-            [r.normalizer for r in results], [r.ratio for r in results])
     if args.out:
-        write_columns_csv(args.out, header, rows)
+        write_columns_csv(args.out, header, columns)
         _write_manifest(args, t0, [args.out], fitted)
-        print(f"wrote {len(results)} checkpoints to {args.out}")
+        print(f"wrote {T.size} checkpoints to {args.out}")
     else:
         print(header)
-        for r in results:
-            print(f"{r.T!r},{r.integral!r},{r.normalizer!r},{r.ratio!r}")
+        for row in zip(*(col.tolist() for col in columns)):
+            print(",".join(map(repr, row)))
         if fitted:
             print("cubic fit:", json.dumps(fitted))
     return EXIT_OK
@@ -399,6 +402,9 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidArgumentError(f"--{name} must be finite, got {value!r}")
+        out = getattr(args, "out", None)  # checked first, so no scan runs before a failed write
+        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise InvalidArgumentError(f"--out {out!r} is not a file in an existing directory")
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
@@ -406,7 +412,7 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except ZetaDivError as exc:  # InvalidArgumentError and the rest: a usage error
+    except (ZetaDivError, OSError) as exc:  # bad arguments, unwritable --out or --cache-dir
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

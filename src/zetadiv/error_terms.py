@@ -349,8 +349,8 @@ def E_balasubramanian(T: float) -> float:
 # ---------------------------------------------------------------------------
 
 def write_columns_csv(path, header: str, columns) -> None:
-    """CSV of equal-length float columns, shortest round-trip formatting."""
-    cells = [map(repr, col) for col in columns]
+    """CSV of equal-length float64 arrays, shortest round-trip formatting."""
+    cells = [map(repr, col.tolist()) for col in columns]
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
@@ -372,8 +372,7 @@ class ScanResult:
 
     def write_csv(self, path) -> None:
         write_columns_csv(path, "t,E,delta_star,E_star",
-                          (self.t.tolist(), self.E.tolist(),
-                           self.delta_star_scaled.tolist(), self.E_star.tolist()))
+                          (self.t, self.E, self.delta_star_scaled, self.E_star))
 
     def summary(self) -> dict:
         out = dict(self.meta)
@@ -384,9 +383,9 @@ class ScanResult:
             "max_abs_E_star": float(np.max(np.abs(self.E_star))),
         })
         for k in (2, 4, 5):
-            results = moment_scan_from_samples(self.t, self.E_star, k)
-            if results:
-                out[f"moment_k{k}_top_ratio"] = results[-1].ratio
+            ratio = moment_scan_from_samples(self.t, self.E_star, k)[3]
+            if ratio.size:
+                out[f"moment_k{k}_top_ratio"] = float(ratio[-1])
         return out
 
 
@@ -410,17 +409,6 @@ def estar_scan(tmax: float, step: float = 0.25, *,
                       meta={"tmax": float(tmax), "step": float(step)})
 
 
-@dataclass(frozen=True)
-class MomentResult:
-    """Cumulative k-th moment of |E*| at one dyadic checkpoint."""
-
-    T: float
-    k: int
-    integral: float
-    normalizer: float
-    ratio: float
-
-
 def _moment_normalizer(T: float, k: int) -> float:
     if k == 2:
         return T ** (4.0 / 3.0) * math.log(T) ** 3
@@ -429,8 +417,12 @@ def _moment_normalizer(T: float, k: int) -> float:
     return T * T  # k == 5
 
 
-def moment_scan_from_samples(ts: np.ndarray, e_star: np.ndarray, k: int) -> list[MomentResult]:
-    """Cumulative trapezoid of |E*|^k at dyadic checkpoints 2^j on a uniform grid from 0."""
+def moment_scan_from_samples(ts: np.ndarray, e_star: np.ndarray, k: int):
+    """Cumulative trapezoid of |E*|^k at dyadic checkpoints 2^j on a uniform grid from 0.
+
+    Returns the columns (T, integral, normalizer, ratio), float64 arrays
+    with one entry per checkpoint 2^MOMENT_J_MIN <= T <= ts[-1].
+    """
     if k not in (2, 4, 5):
         raise InvalidArgumentError("moment order k must be one of {2, 4, 5}")
     if ts.size < 2:
@@ -445,28 +437,21 @@ def moment_scan_from_samples(ts: np.ndarray, e_star: np.ndarray, k: int) -> list
             "moment ratios may be under-resolved", PrecisionWarning, stacklevel=2)
     g = np.abs(e_star) ** k
     cum = np.concatenate([[0.0], np.cumsum((g[1:] + g[:-1]) * 0.5 * dt)])
-    tmax = float(ts[-1])
-    out = []
-    j = MOMENT_J_MIN
-    while 2.0 ** j <= tmax + 1e-9:
-        T = 2.0 ** j
-        integral = float(cum[min(round(T / step), cum.size - 1)])
-        norm = _moment_normalizer(T, k)
-        out.append(MomentResult(T=T, k=k, integral=integral,
-                                normalizer=norm, ratio=integral / norm))
-        j += 1
-    return out
+    # frexp's exponent is floor(log2 x) + 1, so the last T is the largest 2^j <= tmax
+    T = 2.0 ** np.arange(MOMENT_J_MIN, math.frexp(float(ts[-1]) + 1e-9)[1])
+    integral = cum[np.minimum(np.rint(T / step).astype(np.int64), cum.size - 1)]
+    normalizer = np.array([_moment_normalizer(x, k) for x in T.tolist()])
+    return T, integral, normalizer, integral / normalizer
 
 
-def fit_log_cubic(results: list[MomentResult]) -> tuple[np.ndarray, np.ndarray]:
+def fit_log_cubic(T: np.ndarray, integral: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares cubic in log T for integral/T^{4/3} at the checkpoints.
 
     Returns (coefficients highest power first, relative residuals).  The
     cubic's coefficients are fitted, never asserted; only the residual
     quality is checked downstream.
     """
-    T = np.array([r.T for r in results])
-    y = np.array([r.integral for r in results]) / T ** (4.0 / 3.0)
+    y = integral / T ** (4.0 / 3.0)
     lt = np.log(T)
     coef = np.polyfit(lt, y, 3)
     fitted = np.polyval(coef, lt)

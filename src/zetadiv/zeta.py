@@ -350,20 +350,16 @@ def rs_term_count(t) -> int:
 #: 2u t sum_{2<=n<=K} log(n)/sqrt(n) exceeds this (from t ~ 2.12e9 on).
 RS_PHASE_ERR_MAX = 1e-3
 
-_NEG_ZETA_PRIME_HALF = 3.9226461392091516  # -zeta'(1/2)
-
 
 def _phase_rounding_envelope(t: float) -> float:
-    """README's envelope 2u t sum_{2<=n<=K} log(n)/sqrt(n), K = floor(sqrt(t/2 pi)).
+    """README's envelope 2u t sum_{2<=n<=K} log(n)/sqrt(n), u = 2^-53, K = floor(sqrt(t/2 pi)).
 
-    The sum is taken in closed form from its Euler-Maclaurin expansion,
-    2 sqrt(K) (log K - 2) - zeta'(1/2) + log(K) / (2 sqrt K), which is
-    within 2e-6 of it, relative, from K = 100 on.
+    Past K = 2^15 (t > 6.7e9) the sum stops there: that partial sum already
+    puts the envelope above RS_PHASE_ERR_MAX, and a full one at t = 1e300
+    would not fit in memory.
     """
-    K = rs_term_count(t)  # >= 1: callers have checked t >= 2 pi
-    root = math.sqrt(K)
-    log_sum = 2.0 * root * (math.log(K) - 2.0) + _NEG_ZETA_PRIME_HALF + math.log(K) / (2.0 * root)
-    return 2.0 ** -52 * t * log_sum
+    n = np.arange(2.0, min(rs_term_count(t), 2 ** 15) + 1)
+    return 2.0 ** -52 * t * float(np.sum(np.log(n) / np.sqrt(n)))
 
 
 #: K runs from this K up whose points form an arithmetic progression take the

@@ -235,14 +235,42 @@ def test_e_scan_precision_exit(capsys, tmp_path):
     (("moments", "--tmax", "-5"), "--tmax"),
     (("voronoi", "--x", "1", "--n", "100"), "x must be finite and >= 2, got 1.0"),
     (("voronoi", "--x", "500", "--n", "-5"), "truncation N must be finite and >= 2, got -5"),
+    (("delta-scan", "--max", "10", "--step", "1", "--log-spaced"), "--log-spaced needs --count"),
+    (("delta-scan", "--max", "10", "--step", "1", "--count", "3"),
+     "exactly one of --step and --count"),
 ], ids=["atkinson-N", "atkinson-T", "estar-scan-tmax", "moments-tmax", "voronoi-x",
-        "voronoi-n"])
+        "voronoi-n", "delta-scan-log-without-count", "delta-scan-step-and-count"])
 def test_table_commands_check_flags_before_sieving(capsys, tmp_path, argv, named):
     # a bad flag exits 2 and names itself; no divisor table is sized or cached
     cache = tmp_path / "cache"
     rc, out, err = run(capsys, "--cache-dir", str(cache), *[a.format(tmp=tmp_path) for a in argv])
     assert rc == 2 and named in err, (rc, out, err)
     assert not (cache / "divisor_table.bin").exists()
+
+
+@pytest.mark.parametrize("cache, argv", [
+    ("{file}/c", ("cache-table", "--limit", "10")),
+    ("{file}/c", ("delta-scan", "--max", "10", "--step", "1")),
+    ("{file}/c", ("estar-scan", "--tmax", "50", "--out", "{tmp}/s.csv")),
+    ("{tmp}/c", ("delta-scan", "--max", "10", "--step", "1", "--out", "{tmp}/no/x.csv")),
+    ("{tmp}/c", ("e-scan", "--tmax", "50", "--out", "{tmp}/no/x.csv")),
+    ("{tmp}/c", ("estar-scan", "--tmax", "50", "--out", "{tmp}/no/x.csv")),
+    ("{tmp}/c", ("moments", "--tmax", "50", "--out", "{tmp}/no/x.csv")),
+    ("{tmp}/c", ("exppair-search", "--depth", "2", "--out", "{tmp}/no/x.csv")),
+    ("{tmp}/c", ("estar-scan", "--tmax", "50", "--out", "{tmp}")),
+], ids=["cache-table-cache", "delta-scan-cache", "estar-scan-cache", "delta-scan-out",
+        "e-scan-out", "estar-scan-out", "moments-out", "exppair-search-out",
+        "estar-scan-out-is-dir"])
+def test_unwritable_output_exits_2(capsys, tmp_path, cache, argv):
+    # a cache directory under a regular file is a usage error, and an --out
+    # that is a directory or lies in a missing one is refused before the
+    # command starts
+    (tmp_path / "file").write_text("")
+    fill = {"tmp": tmp_path, "file": tmp_path / "file"}
+    named = "Not a directory" if cache == "{file}/c" else "not a file in an existing directory"
+    argv = ["--cache-dir", cache.format(**fill), *[a.format(**fill) for a in argv]]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and err.startswith("error:") and named in err, (rc, out, err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -322,12 +350,29 @@ def test_estar_scan_csv_contract(capsys, tmp_path):
     assert os.path.exists(out + ".manifest.json")
 
 
+#: sha256 of ``moments --tmax 300 --k k --out`` CSVs
+MOMENTS_TMAX300_SHA256 = {
+    2: "25d7b9df7b5e66d97fb9362bdf5e166b0798f4d679546559e164e056f73665ad",
+    4: "d5dd614250522c77ae97e348124b0f224a35c883f9da4c0854de059e6043bb5b",
+    5: "8e27ae78987f68b4c1c5f58f53ea3d42eaa2349e4af52e3f96bdff4782364505",
+}
+
+
 def test_moments_cli(capsys, tmp_path):
+    # stdout (header, rows, and k = 2's cubic-fit line) and the --out CSV,
+    # both golden
     cache = str(tmp_path / "cache")
-    rc, out, _ = run(capsys, "--cache-dir", cache, "moments", "--tmax", "300",
-                     "--k", "2")
-    assert rc == 0
-    assert out.splitlines()[0] == "T,integral,normalizer,ratio"
+    for k, sha in MOMENTS_TMAX300_SHA256.items():
+        rc, out, _ = run(capsys, "--cache-dir", cache, "moments", "--tmax", "300",
+                         "--k", str(k))
+        assert rc == 0
+        golden = Path(__file__).parent / "data" / f"moments_tmax300_k{k}.txt"
+        assert out == golden.read_text(), k
+        csv = tmp_path / f"m{k}.csv"
+        rc, _, _ = run(capsys, "--cache-dir", cache, "moments", "--tmax", "300",
+                       "--k", str(k), "--out", str(csv))
+        assert rc == 0
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == sha, k
 
 
 def test_voronoi_cli(capsys, tmp_path):
