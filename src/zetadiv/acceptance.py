@@ -208,8 +208,7 @@ def criterion_8() -> tuple[bool, str]:
     return ok, detail
 
 
-CRITERIA = {1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-            5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8}
+CRITERIA = {n: globals()[f"criterion_{n}"] for n in range(1, 9)}
 
 
 def run_criterion(num: int, **kwargs) -> bool:

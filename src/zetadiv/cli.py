@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -322,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=None)
     sp.add_argument("--log-spaced", action="store_true")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_delta_scan)
 
     sp = sub.add_parser("voronoi", help="truncated expansion of delta or delta*")
     sp.add_argument("--x", type=float, required=True)
@@ -330,68 +330,57 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--star", action="store_true")
     sp.add_argument("--compare", action="store_true",
                     help="also print the exact series target and residual")
-    sp.set_defaults(func=cmd_voronoi)
 
     sp = sub.add_parser("zeta-eval", help="evaluate Z(t) and |zeta(1/2+it)|")
     sp.add_argument("--t", type=float, required=True)
-    sp.set_defaults(func=cmd_zeta_eval)
 
     sp = sub.add_parser("e-scan", help="scan E(T) by direct quadrature")
     sp.add_argument("--tmax", type=float, required=True)
     sp.add_argument("--step", type=float, default=0.25)
     sp.add_argument("--tol", type=float, default=0.1)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_e_scan)
 
     sp = sub.add_parser("atkinson", help="E(T) by the Atkinson formula")
     sp.add_argument("--T", type=float, required=True)
     sp.add_argument("--N", type=float, default=None, help="cutoff (default T)")
-    sp.set_defaults(func=cmd_atkinson)
 
     sp = sub.add_parser("balasu", help="E(T) by the Balasubramanian double sum")
     sp.add_argument("--T", type=float, required=True)
-    sp.set_defaults(func=cmd_balasu)
 
     sp = sub.add_parser("estar-scan", help="scan E, 2pi*delta*(t/2pi) and E*")
     sp.add_argument("--tmax", type=float, required=True)
     sp.add_argument("--step", type=float, default=0.25)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_estar_scan)
 
     sp = sub.add_parser("moments", help="dyadic-checkpoint moments of |E*|^k")
     sp.add_argument("--tmax", type=float, required=True)
     sp.add_argument("--k", type=int, choices=(2, 4, 5), default=2)
     sp.add_argument("--step", type=float, default=0.25)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_moments)
 
     sp = sub.add_parser("short-interval", help="smoothed short-interval mean square")
     sp.add_argument("--T", type=float, required=True)
     sp.add_argument("--G", type=float, required=True)
-    sp.set_defaults(func=cmd_short_interval)
 
     sp = sub.add_parser("exppair-report", help="exact exponents of one pair")
     sp.add_argument("--kappa", required=True, help="rational literal p/q")
     sp.add_argument("--lambda", dest="lam", required=True, help="rational literal p/q")
     sp.add_argument("--hypothetical", action="store_true",
                     help="allow conjectural pairs outside the A/B closure")
-    sp.set_defaults(func=cmd_exppair_report)
 
     sp = sub.add_parser("exppair-search", help="exhaustive A/B word search")
     sp.add_argument("--depth", type=int, required=True)
     sp.add_argument("--out", default=None, help="frontier CSV path")
-    sp.set_defaults(func=cmd_exppair_search)
 
     sp = sub.add_parser("cache-table", help="build or verify the divisor cache")
     sp.add_argument("--limit", type=int, required=True)
-    sp.set_defaults(func=cmd_cache_table)
 
     sp = sub.add_parser("accept", help="run acceptance criteria (all or one)")
     sp.add_argument("--criterion", type=int, choices=range(1, 9), default=None)
     sp.add_argument("--smoke", action="store_true",
                     help="reduced [0, 2e3] variant of the moment suite")
-    sp.set_defaults(func=cmd_accept)
-
+    for name, sp in sub.choices.items():  # "delta-scan" runs cmd_delta_scan, and so on
+        sp.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return p
 
 
@@ -405,7 +394,9 @@ def main(argv=None) -> int:
         out = getattr(args, "out", None)  # checked first, so no scan runs before a failed write
         if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
             raise InvalidArgumentError(f"--out {out!r} is not a file in an existing directory")
-        return args.func(args)
+        with warnings.catch_warnings():  # a warning is one line, like every message here
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            return args.func(args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -19,9 +19,9 @@ module provides
 * ``block_sum``, the one blocked reducer that the two sqrt(x) sums here,
   the Voronoi expansions and the Atkinson sums all run through.
 
-Integer sums are kept exact: each int64 prefix table is one cast of the
-table followed by an in-place cumulative sum.  Only the smooth main term
-is floating point.
+Integer sums are kept exact: the int64 prefix sums are kept only at
+multiples of ``PREFIX_BLOCK`` = 64, and one query adds at most 63 entries
+of a block to them.  Only the smooth main term is floating point.
 """
 
 from __future__ import annotations
@@ -56,13 +56,18 @@ MAX_SIEVE_LIMIT = 2**28
 #: 0.21 and 0.22 s.
 DEFAULT_SEGMENT = 2**20
 
-#: Terms per block of ``block_sum``: each temporary is 32 KiB, and at
-#: T = 1e6 the blocked Atkinson sums run no slower than 2**10..2**20 blocks.
+#: Terms per block of ``block_sum`` (each temporary is 32 KiB; at T = 1e6 the
+#: blocked Atkinson sums run no slower than 2**10..2**20 blocks), and queries
+#: per step of an array divisor-sum query (about 6 MiB of temporaries).
 SUM_BLOCK = 2**12
 
 #: Largest x that ``hyperbola_divisor_sum`` takes: above about 1.04e18 the
 #: int64 sum of its first block of m // n wraps.
 HYPERBOLA_X_CAP = 10**18
+
+#: Entries per block of the prefix sums: ``prefix()`` and ``alt_prefix()``
+#: keep one int64 per block.  It is even, so (-1)^n runs alike in every block.
+PREFIX_BLOCK = 64
 
 _CACHE_MAGIC = b"ZDTABLE1"
 _CACHE_VERSION = 2
@@ -75,9 +80,8 @@ class DivisorTable:
     ``values`` is a uint16 array of length ``limit + 1`` with
     ``values[n] == d(n)`` for ``1 <= n <= limit`` and ``values[0] == 0``.
     The array is frozen (read-only) after construction, so a table can be
-    shared freely across threads.  The two int64 prefix-sum tables are
-    built lazily on first use, each in its own output array with no
-    further temporary.
+    shared freely across threads.  The two block prefix sums are built
+    lazily on first use: 16 bytes per 64 entries for both, 2.5 MB at 1e7.
     """
 
     limit: int
@@ -86,19 +90,30 @@ class DivisorTable:
     _alt_prefix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def prefix(self) -> np.ndarray:
-        """int64 prefix sums: prefix()[m] == sum_{n<=m} d(n)."""
+        """int64 block prefix sums: prefix()[b] == sum_{n<64b} d(n), 0 <= b <= (limit+1)//64."""
         if self._prefix is None:
-            out = self.values.astype(np.int64)
-            self._prefix = np.cumsum(out, out=out)
+            self._prefix = self._block_cumsum(slice(None))
         return self._prefix
 
     def alt_prefix(self) -> np.ndarray:
-        """int64 alternating prefix sums: alt_prefix()[m] == sum_{n<=m} (-1)^n d(n)."""
+        """int64 block prefix sums: alt_prefix()[b] == sum_{n<64b} (-1)^n d(n),
+        as twice the sums over even n less ``prefix()``, which it builds first."""
         if self._alt_prefix is None:
-            out = self.values.astype(np.int64)
-            out[1::2] *= -1
-            self._alt_prefix = np.cumsum(out, out=out)
+            out = self._block_cumsum(slice(None, None, 2))
+            out *= 2
+            self._alt_prefix = np.subtract(out, self.prefix(), out=out)
         return self._alt_prefix
+
+    def _block_cumsum(self, cols: slice) -> np.ndarray:
+        """0, then the running sums over each 64-entry row's ``cols``."""
+        rows = self.values[:self.values.size // PREFIX_BLOCK * PREFIX_BLOCK]
+        out = np.zeros(rows.size // PREFIX_BLOCK + 1, dtype=np.int64)
+        bufsize = np.setbufsize(128)  # numpy's cast buffer, the one temporary: 1 KiB
+        try:
+            np.sum(rows.reshape(-1, PREFIX_BLOCK)[:, cols], axis=1, dtype=np.int64, out=out[1:])
+        finally:
+            np.setbufsize(bufsize)
+        return np.cumsum(out, out=out)
 
 
 def sieve_divisors(limit: int) -> DivisorTable:
@@ -137,24 +152,43 @@ def sieve_divisors(limit: int) -> DivisorTable:
 def main_term(x):
     """Smooth main term x*(log x + 2*gamma - 1); 0 at x == 0."""
     xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    out = np.zeros_like(xs)
-    nz = xs > 0
-    out[nz] = xs[nz] * (np.log(xs[nz]) + 2.0 * EULER_GAMMA - 1.0)
-    return float(out[0]) if scalar else out
+    pos = xs > 0
+    out = np.where(pos, xs * (np.log(np.where(pos, xs, 1.0)) + 2.0 * EULER_GAMMA - 1.0), 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def _signed_sums(table: DivisorTable, m, alt: bool):
+    """Exact sum_{n<=m} s_n d(n), s_n = (-1)^n if ``alt`` else 1, for 0 <= m <= limit.
+
+    Every divisor sum here is this query: the block prefix at 64*(m // 64)
+    plus the signed entries from there to m.  An int m sums them in Python;
+    an int64 array m sums each run of queries in one block over one
+    gathered row, ``SUM_BLOCK`` queries at a time.
+    """
+    b, r = divmod(m, PREFIX_BLOCK)
+    blocks = table.alt_prefix() if alt else table.prefix()
+    if isinstance(m, int):
+        tail = table.values[m - r:m + 1].tolist()
+        return blocks.item(b) + (sum(tail[::2]) - sum(tail[1::2]) if alt else sum(tail))
+    out, cols = blocks[b], np.arange(PREFIX_BLOCK)
+    signs = (-1) ** cols if alt else 1
+    for lo in range(0, m.size, SUM_BLOCK):
+        bs, rs = b[lo:lo + SUM_BLOCK], r[lo:lo + SUM_BLOCK]
+        new = np.concatenate(([True], bs[1:] != bs[:-1]))  # first query of each run
+        rows = np.take(table.values, PREFIX_BLOCK * bs[new, None] + cols, mode="clip")
+        cum = np.cumsum(rows * signs, axis=1, dtype=np.int64)
+        out[lo:lo + SUM_BLOCK] += cum[np.cumsum(new) - 1, rs]
+    return out
 
 
 def divisor_sum(table: DivisorTable, x) -> int:
-    """Exact sum_{n<=x} d(n) from the table's prefix sums."""
+    """Exact sum_{n<=x} d(n) from the table's block prefix sums."""
     if not -math.inf < x < math.inf:
         raise InvalidArgumentError(f"divisor_sum needs finite x, got {x}")
     m = int(math.floor(x))
     if m > table.limit:
         raise OutOfRangeError(f"x={x} exceeds table limit {table.limit}")
-    if m < 1:
-        return 0
-    return int(table.prefix()[m])
+    return _signed_sums(table, max(m, 0), alt=False)
 
 
 def block_sum(n_max: int, terms):
@@ -182,9 +216,7 @@ def hyperbola_divisor_sum(x) -> int:
         raise ResourceLimitError(f"hyperbola_divisor_sum: x={x!r} exceeds the cap "
                                  f"{HYPERBOLA_X_CAP:.0e} of exact int64 block sums")
     m = int(math.floor(x))
-    if m < 1:
-        return 0
-    r = math.isqrt(m)
+    r = math.isqrt(max(m, 0))
     return 2 * block_sum(r, lambda n: m // n) - r * r
 
 
@@ -212,7 +244,7 @@ def delta_grid(table: DivisorTable, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.size and not (1 <= xs.min() and xs.max() < table.limit + 1):
         raise OutOfRangeError("delta_grid abscissae must lie in [1, table.limit]")
-    return table.prefix()[np.floor(xs).astype(np.int64)] - main_term(xs)
+    return _signed_sums(table, np.floor(xs).astype(np.int64), alt=False) - main_term(xs)
 
 
 def psi(x):
@@ -225,9 +257,7 @@ def psi(x):
     """
     x = np.asarray(x, dtype=float)
     out = x - np.floor(x) - 0.5
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def delta_via_psi(x) -> float:
@@ -251,9 +281,8 @@ def _check_star_range(table: DivisorTable, x) -> None:
     if not 0 < x < math.inf:
         raise InvalidArgumentError(f"delta_star requires finite x > 0, got {x}")
     if 4 * x > table.limit:
-        raise OutOfRangeError(
-            f"delta_star at x={x} needs the table to cover 4x={4 * x}, "
-            f"limit is {table.limit}")
+        raise OutOfRangeError(f"delta_star at x={x} needs the table to cover "
+                              f"4x={4 * x}, limit is {table.limit}")
 
 
 def delta_star(table: DivisorTable, x) -> float:
@@ -265,10 +294,8 @@ def delta_star(table: DivisorTable, x) -> float:
     Needs table coverage up to 4x.
     """
     _check_star_range(table, x)
-    comb = (-divisor_sum(table, x)
-            + 2 * divisor_sum(table, 2 * x)
-            - 0.5 * divisor_sum(table, 4 * x))
-    return comb - main_term(float(x))
+    a, b, c = (_signed_sums(table, math.floor(v), alt=False) for v in (x, 2 * x, 4 * x))
+    return -a + 2 * b - 0.5 * c - main_term(float(x))
 
 
 def delta_star_alternating(table: DivisorTable, x) -> float:
@@ -286,7 +313,7 @@ def delta_star_grid(table: DivisorTable, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.size and not (0 < xs.min() and 4 * xs.max() < table.limit + 1):
         raise OutOfRangeError("delta_star_grid needs 0 < x and 4x <= table.limit")
-    return 0.5 * table.alt_prefix()[np.floor(4 * xs).astype(np.int64)] - main_term(xs)
+    return 0.5 * _signed_sums(table, np.floor(4 * xs).astype(np.int64), alt=True) - main_term(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +370,7 @@ def load_table(path, *, limit: int | None = None) -> DivisorTable:
         raise CacheError(f"{path}: checksum mismatch")
     if limit is not None and stored_limit < limit:
         raise CacheError(f"{path}: cached limit {stored_limit} < requested {limit}")
-    values = np.frombuffer(payload, dtype="<u2")
-    if limit is not None and stored_limit > limit:
-        values = values[:limit + 1]
-        stored_limit = limit
-    values = values.astype(np.uint16, copy=False)
+    stored_limit = stored_limit if limit is None else limit  # a larger cache is sliced
+    values = np.frombuffer(payload, dtype="<u2")[:stored_limit + 1].astype(np.uint16, copy=False)
     values.setflags(write=False)
     return DivisorTable(limit=int(stored_limit), values=values)

@@ -518,18 +518,11 @@ def empirical_exponent(ts, values) -> float:
     if ts.shape != vals.shape:
         raise InvalidArgumentError("ts and values must have the same shape")
     ok = ts > 0
-    ts, vals = ts[ok], vals[ok]
-    if ts.size == 0:
+    if not ok.any():
         raise InvalidArgumentError("no positive abscissae")
-    j = np.floor(np.log2(ts)).astype(int)
-    xs, ys = [], []
-    for jj in np.unique(j):
-        m = float(np.max(np.abs(vals[j == jj])))
-        if m > 0:
-            xs.append(math.log(2.0 ** (jj + 0.5)))
-            ys.append(math.log(m))
-    if len(xs) < 8:
-        raise InvalidArgumentError(
-            f"need >= 8 nonempty dyadic blocks, got {len(xs)}")
-    slope = float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
-    return slope
+    j, block = np.unique(np.floor(np.log2(ts[ok])).astype(int), return_inverse=True)
+    peak = np.zeros(j.size)
+    np.maximum.at(peak, block, np.abs(vals[ok]))
+    if (keep := peak > 0).sum() < 8:
+        raise InvalidArgumentError(f"need >= 8 nonempty dyadic blocks, got {keep.sum()}")
+    return float(np.polyfit(np.log(2.0 ** (j[keep] + 0.5)), np.log(peak[keep]), 1)[0])

@@ -90,10 +90,7 @@ def delta_star_series_target(table: DivisorTable, x: float) -> float:
     at those abscissae the series limit is the half-jump-adjusted
     delta*(x) - (-1)^m d(m)/4.
     """
-    val = delta_star(table, x)
-    m4 = 4.0 * float(x)
+    val, m4 = delta_star(table, x), 4.0 * float(x)
     if m4 == math.floor(m4):
-        m = int(m4)
-        sign = 1.0 if m % 2 == 0 else -1.0
-        val -= sign * 0.25 * float(table.values[m])
+        val -= (-1) ** int(m4) * 0.25 * float(table.values[int(m4)])
     return val

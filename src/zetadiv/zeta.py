@@ -71,12 +71,11 @@ def _bernoulli_em_coeffs(kmax: int) -> np.ndarray:
             acc += binom * bern[k]
             binom = binom * (m + 1 - k) // (k + 1)
         bern.append(-acc / (m + 1))
-    out = np.empty(kmax + 1)
+    out = np.zeros(kmax + 1)
     fact = 1
     for k in range(1, kmax + 1):
         fact *= (2 * k - 1) * (2 * k)
         out[k] = float(Fraction(bern[2 * k], fact))
-    out[0] = 0.0
     return out
 
 
@@ -93,8 +92,7 @@ def _em_sum(s: np.ndarray, N: int, K: int) -> np.ndarray:
     out = np.zeros(s.shape, dtype=complex)
     logn = np.log(np.arange(1, N, dtype=np.float64))
     for lo in range(0, s.size, 2048):
-        sl = slice(lo, min(lo + 2048, s.size))
-        out[sl] = np.exp(-np.multiply.outer(s[sl], logn)).sum(axis=1)
+        out[lo:lo + 2048] = np.exp(-np.multiply.outer(s[lo:lo + 2048], logn)).sum(axis=1)
     logN = math.log(N)
     Nms = np.exp(-s * logN)  # N^{-s}
     out += Nms * N / (s - 1) + 0.5 * Nms
@@ -141,9 +139,7 @@ def _zeta_half_em_grid(ts: np.ndarray) -> np.ndarray:
     other points share its call.
     """
     ts = np.asarray(ts, dtype=float)
-    if ts.size == 0:
-        return np.zeros(0, dtype=complex)
-    N = _em_terms(max(SCAN_RS_MIN_T, float(np.max(np.abs(ts)))))
+    N = _em_terms(max(SCAN_RS_MIN_T, float(np.max(np.abs(ts), initial=0.0))))
     return _em_sum(0.5 + 1j * ts, N, _EM_ORDER)
 
 

@@ -14,6 +14,9 @@ import pytest
 
 from zetadiv import CacheError, load_table, sieve_divisors, voronoi_delta
 from zetadiv.cli import build_parser, main
+from zetadiv.divisor import MAX_SIEVE_LIMIT
+from zetadiv.error_terms import E_GRID_MAX_POINTS
+from zetadiv.exppairs import MAX_SEARCH_DEPTH
 from zetadiv.zeta import zeta_em
 
 
@@ -332,6 +335,53 @@ def test_float_flags_at_extremes(capsys, tmp_path, command, flag):
         assert rc in (0, 2, 3, 4), (argv, rc, err)
         if rc == 0:
             assert not NON_FINITE_TOKEN.search(out), (argv, out)
+
+
+#: each int flag: its command with the other flags it needs, and the first
+#: value past its cap (a table past the sieve cap, a grid of
+#: E_GRID_MAX_POINTS, a search past MAX_SEARCH_DEPTH, a k outside 2, 4, 5)
+INT_FLAGS = {
+    "--count": (("delta-scan", "--min=10", "--max=20"), E_GRID_MAX_POINTS, 3),
+    "--n": (("voronoi", "--x=500"), MAX_SIEVE_LIMIT + 1, 3),
+    "--k": (("moments", "--tmax=300"), 6, 2),
+    "--depth": (("exppair-search",), MAX_SEARCH_DEPTH + 1, 3),
+    "--limit": (("cache-table",), MAX_SIEVE_LIMIT + 1, 3),
+}
+
+
+@pytest.mark.parametrize("flag", INT_FLAGS, ids=lambda v: v.lstrip("-"))
+def test_int_flags_at_extremes(capsys, tmp_path, traced_peak, flag):
+    # -1, 0, the first value past the cap and 10**30 exit 2 or 3 before any
+    # table, grid or search is sized (under 1 MB traced, no cache file);
+    # --depth 0 is a valid search of the seeds alone.  Allowed large values
+    # (a 2**28 sieve, a 2**24 - 1 grid, a depth-24 search) run long and are
+    # not drawn
+    (command, *base), cap, cap_code = INT_FLAGS[flag]
+    cache = tmp_path / "cache"
+
+    def call(value):
+        try:
+            return run(capsys, "--cache-dir", str(cache), command, *base, f"{flag}={value}")
+        except SystemExit as exc:  # argparse refuses a --k outside its choices
+            return exc.code, "", capsys.readouterr().err
+
+    for value, code in ((-1, 2), (0, 0 if flag == "--depth" else 2), (cap, cap_code),
+                        (10**30, cap_code)):
+        (rc, _, err), peak = traced_peak(lambda: call(value))
+        assert rc == code, (flag, value, rc, err)
+        assert peak < 2**20, (flag, value, peak)
+        assert not (cache / "divisor_table.bin").exists(), (flag, value)
+
+
+def test_precision_warning_is_one_line(capsys, tmp_path):
+    # a sparse moment grid warns on one `warning:` line, as a cache rebuild
+    # does: no source path and no code line on stderr
+    rc, out, err = run(capsys, "--cache-dir", str(tmp_path / "cache"), "moments",
+                       "--tmax", "10")
+    assert rc == 0 and out == "T,integral,normalizer,ratio\n"
+    assert err == ("warning: moment grid is sparse (41 samples, step 0.25); "
+                   "moment ratios may be under-resolved\n")
+    assert ".py:" not in err
 
 
 @pytest.mark.filterwarnings("ignore::zetadiv.errors.PrecisionWarning")

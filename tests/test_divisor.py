@@ -1,6 +1,7 @@
 import math
 import struct
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from zetadiv import (EULER_GAMMA, CacheError, InvalidArgumentError, OutOfRangeEr
                      delta_star_alternating, delta_star_grid, delta_via_psi, divisor_sum,
                      hyperbola_divisor_sum, load_table, main_term, psi, save_table,
                      sieve_divisors)
-from zetadiv.divisor import DEFAULT_SEGMENT, HYPERBOLA_X_CAP, SUM_BLOCK, block_sum
+from zetadiv import divisor
+from zetadiv.divisor import (DEFAULT_SEGMENT, HYPERBOLA_X_CAP, PREFIX_BLOCK, SUM_BLOCK,
+                             _signed_sums, block_sum)
 
 
 def trial_division_d(n: int) -> int:
@@ -95,15 +98,42 @@ def test_sieve_uint16_matches_trial_division_to_1e7(table_big):
         assert table_big.values[n] == 2 * hits.size - (hits[-1] ** 2 == n), n
 
 
-def test_prefix_tables_allocate_only_their_output(traced_peak):
-    table = sieve_divisors(10**6)
-    for name in ("prefix", "alt_prefix"):
-        out, peak = traced_peak(getattr(table, name))
-        assert out.dtype == np.int64 and out.size == table.limit + 1
-        assert peak <= 1.05 * out.nbytes, (name, peak, out.nbytes)
-    assert table.prefix()[-1] == hyperbola_divisor_sum(10**6)
+def signed_cumsum(table, alt):
+    """Independent oracle: np.cumsum of (-1)^n d(n) (alt) or d(n) over the whole table."""
     n = np.arange(table.limit + 1)
-    assert table.alt_prefix()[-1] == int(np.sum(np.where(n % 2 == 0, 1, -1) * table.values))
+    return np.cumsum(np.where(n % 2 == 1, -1 if alt else 1, 1) * table.values)
+
+
+def test_prefix_tables_allocate_only_their_output(traced_peak):
+    # one int64 per block of 64 entries, 125 KB at 1e6, built with no
+    # temporary of the table's length; alt_prefix reads prefix, built first
+    table = sieve_divisors(10**6)
+    for name, alt in (("prefix", False), ("alt_prefix", True)):
+        out, peak = traced_peak(getattr(table, name))
+        assert out.dtype == np.int64 and out.size == (table.limit + 1) // PREFIX_BLOCK + 1
+        assert peak <= 1.05 * out.nbytes, (name, peak, out.nbytes)
+        ref = signed_cumsum(table, alt)[PREFIX_BLOCK - 1::PREFIX_BLOCK]
+        assert out[0] == 0 and np.array_equal(out[1:], ref), name
+
+
+@given(st.data())
+def test_block_query_matches_cumsum(data):
+    # both signed queries, scalar and array, against np.cumsum of the signed
+    # values, at m = 0, 64k - 1, 64k, 64k + 1 and the limit, on limits below
+    # 64 and limits whose last block is partial; arrays run in shuffled order
+    # and three queries a step, so runs of one block meet step seams
+    limit = data.draw(st.one_of(st.sampled_from((1, 62, 63, 64, 65, 127, 128)),
+                                st.integers(1, 200), st.integers(1, 5000)), label="limit")
+    table = sieve_divisors(limit)
+    k = data.draw(st.integers(0, (limit + 1) // PREFIX_BLOCK), label="k")
+    edges = [m for m in (0, 64 * k - 1, 64 * k, 64 * k + 1, limit) if 0 <= m <= limit]
+    ms = data.draw(st.permutations(edges + data.draw(
+        st.lists(st.integers(0, limit), max_size=20), label="more")), label="ms")
+    for alt in (False, True):
+        ref = signed_cumsum(table, alt)[ms].tolist()
+        assert [_signed_sums(table, m, alt) for m in ms] == ref
+        with mock.patch.object(divisor, "SUM_BLOCK", 3):
+            assert _signed_sums(table, np.array(ms, dtype=np.int64), alt).tolist() == ref
 
 
 def test_segmented_matches_plain():

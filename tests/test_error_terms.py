@@ -175,6 +175,28 @@ def test_stepwise_extension_matches_one_call():
     assert np.all(np.abs(a - b) <= 1e-9 * np.abs(b))
 
 
+@pytest.fixture(scope="module")
+def one_call_integrator():
+    """A quadrature cache grown to 1300 in one extend_to call."""
+    ms = ZetaMeanSquare()
+    ms.extend_to(1300.0)
+    return ms
+
+
+@settings(max_examples=6)
+@given(st.lists(st.floats(0.0, 1300.0), min_size=1, max_size=4), st.floats(0.0, 1300.0))
+def test_integral_does_not_depend_on_extend_sequence(one_call_integrator, steps, T):
+    # any sequence of extend_to calls, shrinking ones (no-ops) included,
+    # leaves the cache and integral(T) bit for bit as one call does; 1300 is
+    # past 4096 chunks of 0.25, so the sequence moves the group seams
+    stepped = ZetaMeanSquare()
+    for step in steps:
+        stepped.extend_to(step)
+    assert stepped.integral(T) == one_call_integrator.integral(T)
+    cum = stepped._cum
+    assert cum.tobytes() == one_call_integrator._cum[:cum.size].tobytes()
+
+
 def test_E_direct_validation():
     with pytest.raises(InvalidArgumentError):
         E_direct(-1.0)
@@ -306,6 +328,22 @@ def test_estar_scan_small_T_consistency(table_small):
     expected = TWO_PI * (-main_term(ts / TWO_PI))
     assert np.allclose(scan.delta_star_scaled[1:3], expected, atol=1e-12)
     assert np.all(scan.E_star == scan.E - scan.delta_star_scaled)
+
+
+@settings(max_examples=6)
+@given(st.floats(1.0, 3000.0), st.sampled_from((0.25, 0.5, 1.0)))
+def test_estar_scan_is_E_minus_scaled_delta_star(table_small, tmax, step):
+    # E_star is E - 2 pi delta*(t/(2 pi)) bit for bit, and the delta* column
+    # is the alternating divisor sum read from np.cumsum of the signed
+    # table, also bit for bit
+    scan = estar_scan(tmax, step, table=table_small)
+    assert scan.E_star.tobytes() == (scan.E - scan.delta_star_scaled).tobytes()
+    n = np.arange(table_small.limit + 1)
+    alt = np.cumsum(np.where(n % 2 == 0, 1, -1) * table_small.values)
+    x = scan.t[1:] / TWO_PI
+    ref = TWO_PI * (0.5 * alt[np.floor(4 * x).astype(np.int64)] - main_term(x))
+    assert scan.delta_star_scaled[0] == 0.0
+    assert scan.delta_star_scaled[1:].tobytes() == ref.tobytes()
 
 
 def test_moment_scan_validation():
