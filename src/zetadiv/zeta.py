@@ -13,8 +13,9 @@ Three routes are provided and cross-validated against each other:
                    progression sums its main sum as blocked complex
                    matrix products (Odlyzko-Schonhage), any other run
                    one cosine per term and point;
-* ``z_function`` - the production Z(t) evaluator: Euler-Maclaurin backed
-                   below ``RS_CROSSOVER_T`` (where the truncated
+* ``z_function`` - the production Z(t) evaluator for every finite t,
+                   through Z(-t) = Z(t): Euler-Maclaurin backed below
+                   |t| = ``RS_CROSSOVER_T`` (where the truncated
                    asymptotic correction series cannot reach 1e-6),
                    Riemann-Siegel above.
 
@@ -37,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 
-from .errors import InvalidArgumentError, OutOfRangeError, PrecisionError
+from .errors import InvalidArgumentError, OutOfRangeError, PrecisionError, ResourceLimitError
 
 TWO_PI = 2.0 * math.pi
 LOG_PI = math.log(math.pi)
@@ -52,6 +53,7 @@ RS_CROSSOVER_T = 6000.0
 #: absolute error at the boundary (~7e-5) is far below quadrature needs.
 SCAN_RS_MIN_T = 200.0
 
+EM_MAX_TERMS = 2**20  # zeta_em's cap on its cut N: 16 MiB of terms, |Im s| ~ 8.1e5
 _EM_MAX_CORRECTION = 20  # the highest order any caller needs
 _EM_ORDER = 12  # default number of Bernoulli corrections
 
@@ -109,11 +111,11 @@ def _em_sum(s: np.ndarray, N: int, K: int) -> np.ndarray:
 def zeta_em(s, terms: int | None = None, correction_order: int | None = None) -> complex:
     """zeta(s) by Euler-Maclaurin summation, s != 1.
 
-    ``terms`` is the cut N of the direct sum (default ~1.3*|Im s| + 24,
-    at least twice (1+|t|) is comfortably exceeded for small t) and
-    ``correction_order`` the number of Bernoulli corrections (default 12,
-    at most 20).  Two different parameter choices agree to ~1e-12 on the
-    strip, which is the self-consistency check the tests pin down.
+    ``terms`` is the cut N of the direct sum (default ceil(1.3 |Im s|) + 24,
+    at most ``EM_MAX_TERMS``, else ResourceLimitError before any allocation)
+    and ``correction_order`` the number of Bernoulli corrections (default
+    12, at most 20).  Two different parameter choices agree to ~1e-12 on
+    the strip, which is the self-consistency check the tests pin down.
     """
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
@@ -123,6 +125,8 @@ def zeta_em(s, terms: int | None = None, correction_order: int | None = None) ->
     N = int(terms) if terms is not None else _em_terms(abs(s.imag))
     if N < 2:
         raise InvalidArgumentError("terms must be >= 2")
+    if N > EM_MAX_TERMS:
+        raise ResourceLimitError(f"{N} Euler-Maclaurin terms pass the cap of {EM_MAX_TERMS}")
     K = int(correction_order) if correction_order is not None else _EM_ORDER
     if not 1 <= K <= _EM_MAX_CORRECTION:
         raise InvalidArgumentError(
@@ -491,18 +495,16 @@ def rs_z_grid(ts) -> np.ndarray:
 
 
 def z_function(t: float) -> float:
-    """Hardy Z(t) with |zeta(1/2+it)| = |Z(t)|, for t >= 10.
+    """Hardy Z(t) with |zeta(1/2+it)| = |Z(t)|, for every finite t.
 
-    Below ``RS_CROSSOVER_T`` the value comes from the Euler-Maclaurin route
-    rotated by the exact phase (Z = e^{i theta(t)} zeta(1/2+it), real up
-    to rounding); above it from the Riemann-Siegel expansion, whose
-    C0+C1 truncation is past the 1e-6 level there and sharpens with t.
+    Z is even (theta is odd, and zeta(1/2-it) is the conjugate of
+    zeta(1/2+it)), so this evaluates Z(|t|).  Below ``RS_CROSSOVER_T`` the
+    value comes from the Euler-Maclaurin route rotated by the exact phase
+    (Z = e^{i theta(t)} zeta(1/2+it), real up to rounding); above it from
+    the Riemann-Siegel expansion, whose C0+C1 truncation is past the 1e-6
+    level there and sharpens with t.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise InvalidArgumentError(f"z_function needs finite t, got {t}")
-    if t < 10.0:
-        raise OutOfRangeError("z_function supports t >= 10; use zeta_em below")
+    t = abs(float(t))  # a non-finite t is refused by rs_z_grid
     if t < RS_CROSSOVER_T:
         w = np.exp(1j * rs_theta(t)) * zeta_em(0.5 + 1j * t)
         if abs(w.imag) > 1e-6 * (1.0 + abs(w)):

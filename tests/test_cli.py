@@ -114,9 +114,33 @@ def test_zeta_eval_matches_oracle(capsys):
 
 
 def test_zeta_eval_small_t_routes_to_em(capsys):
+    # below t = 10 zeta-eval is the same z_function call and line shape; its
+    # Euler-Maclaurin route gives |zeta(1/2+2i)| with the bits of zeta_em
     rc, out, _ = run(capsys, "zeta-eval", "--t", "2")
     assert rc == 0
-    assert "Euler-Maclaurin route" in out
+    assert out.startswith("t=2.0 Z=-0.5396331256461443 ")
+    assert f" |zeta(1/2+it)|={abs(zeta_em(0.5 + 2j))!r} " in out
+
+
+@pytest.mark.parametrize("t, code, line", [
+    ("-7000", 0, "t=-7000.0 Z=3.0800380748346767 |zeta(1/2+it)|=3.0800380748346767 "
+                 "|zeta|^2=9.486634542431302\n"),
+    ("-2", 0, "t=-2.0 Z=-0.5396331256461443 |zeta(1/2+it)|=0.5396331256461443 "
+              "|zeta|^2=0.29120391029462733\n"),
+    ("-1e9", 0, None),
+    ("-1e300", 4, None),
+], ids=["-7000", "-2", "-1e9", "-1e300"])
+def test_zeta_eval_negative_t_is_z_of_abs_t(capsys, t, code, line):
+    # Z is even, so a negative t prints Z(|t|) after its own t; -1e9 is a
+    # Riemann-Siegel point, and -1e300 is past the phase-rounding cap
+    rc, out, err = run(capsys, "zeta-eval", f"--t={t}")
+    assert rc == code, (rc, out, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert out.count("\n") == 1 and out.startswith(f"t={float(t)!r} Z="), out
+        assert line is None or out == line, out
+    else:
+        assert out == "" and err.startswith("precision failure:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("t, line", [
@@ -222,13 +246,12 @@ def test_e_scan_grid_cap(capsys, argv):
     assert err.startswith("resource limit:") and "cap" in err, err
 
 
-def test_e_scan_precision_exit(capsys, tmp_path):
-    rc, _, err = run(capsys, "e-scan", "--tmax", "5", "--tol", "0")
+def test_e_scan_precision_exit(capsys, monkeypatch):
+    # e-scan gates on the library's E_DIRECT_TOL; at 0 every estimate fails it
+    monkeypatch.setattr("zetadiv.cli.E_DIRECT_TOL", 0.0)
+    rc, _, err = run(capsys, "e-scan", "--tmax", "5")
     assert rc == 4
-    assert "precision" in err.lower() or "tol" in err
-    # a negative tolerance is a usage error, refused before the quadrature
-    rc, _, err = run(capsys, "e-scan", "--tmax", "5", "--tol", "-1")
-    assert rc == 2 and "--tol" in err, err
+    assert err.startswith("precision failure: quadrature error estimate"), err
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -236,13 +259,16 @@ def test_e_scan_precision_exit(capsys, tmp_path):
     (("atkinson", "--T", "-5"), "T > 0, got T=-5.0"),
     (("estar-scan", "--tmax", "-5", "--out", "{tmp}/scan.csv"), "--tmax"),
     (("moments", "--tmax", "-5"), "--tmax"),
+    (("moments", "--tmax", "10"), "--tmax must be >= 16"),
     (("voronoi", "--x", "1", "--n", "100"), "x must be finite and >= 2, got 1.0"),
     (("voronoi", "--x", "500", "--n", "-5"), "truncation N must be finite and >= 2, got -5"),
     (("delta-scan", "--max", "10", "--step", "1", "--log-spaced"), "--log-spaced needs --count"),
     (("delta-scan", "--max", "10", "--step", "1", "--count", "3"),
      "exactly one of --step and --count"),
-], ids=["atkinson-N", "atkinson-T", "estar-scan-tmax", "moments-tmax", "voronoi-x",
-        "voronoi-n", "delta-scan-log-without-count", "delta-scan-step-and-count"])
+    (("delta-scan", "--max", "-5", "--count", "4"), "empty range: min=1.0, max=-5.0"),
+], ids=["atkinson-N", "atkinson-T", "estar-scan-tmax", "moments-tmax", "moments-tmax-below-16",
+        "voronoi-x", "voronoi-n", "delta-scan-log-without-count", "delta-scan-step-and-count",
+        "delta-scan-max-below-1"])
 def test_table_commands_check_flags_before_sieving(capsys, tmp_path, argv, named):
     # a bad flag exits 2 and names itself; no divisor table is sized or cached
     cache = tmp_path / "cache"
@@ -286,9 +312,8 @@ def test_unwritable_output_exits_2(capsys, tmp_path, cache, argv):
     ("voronoi", "--x", "nan", "--n", "10"),
     ("delta-scan", "--max", "nan", "--count", "5"),
     ("delta-scan", "--max", "inf", "--count", "5"),
-    ("e-scan", "--tmax", "300", "--tol", "nan"),
 ], ids=["e-scan-tmax", "e-scan-step", "estar-scan-tmax", "short-interval-T", "balasu-T",
-        "atkinson-T", "voronoi-x", "delta-scan-max-nan", "delta-scan-max-inf", "e-scan-tol"])
+        "atkinson-T", "voronoi-x", "delta-scan-max-nan", "delta-scan-max-inf"])
 def test_quadrature_commands_reject_non_finite(capsys, tmp_path, argv):
     argv = [a.format(tmp=tmp_path) for a in argv]
     rc, out, err = run(capsys, "--cache-dir", str(tmp_path), *argv)
@@ -358,16 +383,10 @@ def test_int_flags_at_extremes(capsys, tmp_path, traced_peak, flag):
     # not drawn
     (command, *base), cap, cap_code = INT_FLAGS[flag]
     cache = tmp_path / "cache"
-
-    def call(value):
-        try:
-            return run(capsys, "--cache-dir", str(cache), command, *base, f"{flag}={value}")
-        except SystemExit as exc:  # argparse refuses a --k outside its choices
-            return exc.code, "", capsys.readouterr().err
-
     for value, code in ((-1, 2), (0, 0 if flag == "--depth" else 2), (cap, cap_code),
                         (10**30, cap_code)):
-        (rc, _, err), peak = traced_peak(lambda: call(value))
+        (rc, _, err), peak = traced_peak(
+            lambda: run(capsys, "--cache-dir", str(cache), command, *base, f"{flag}={value}"))
         assert rc == code, (flag, value, rc, err)
         assert peak < 2**20, (flag, value, peak)
         assert not (cache / "divisor_table.bin").exists(), (flag, value)
@@ -377,11 +396,50 @@ def test_precision_warning_is_one_line(capsys, tmp_path):
     # a sparse moment grid warns on one `warning:` line, as a cache rebuild
     # does: no source path and no code line on stderr
     rc, out, err = run(capsys, "--cache-dir", str(tmp_path / "cache"), "moments",
-                       "--tmax", "10")
-    assert rc == 0 and out == "T,integral,normalizer,ratio\n"
-    assert err == ("warning: moment grid is sparse (41 samples, step 0.25); "
+                       "--tmax", "100")
+    assert rc == 0 and out.startswith("T,integral,normalizer,ratio\n16.0,")
+    assert err == ("warning: moment grid is sparse (401 samples, step 0.25); "
                    "moment ratios may be under-resolved\n")
     assert ".py:" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--tmax", "300", "--k", "3"),
+    ("moments",),
+    ("e-scan", "--tmax", "5", "--tol", "0"),
+    ("zeta-eval", "--t", "abc"),
+    ("no-such-command",),
+    (),
+], ids=["k-choice", "missing-tmax", "removed-tol", "bad-float", "bad-command", "no-command"])
+def test_argparse_refusals_are_one_error_line(capsys, argv):
+    # argparse's own refusals are returned as exit 2 with one `error:` line,
+    # no usage block, like every other refusal
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "", (rc, out, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("moments", "--help")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: zetadiv")
+
+
+@pytest.mark.parametrize("flag", ["--kappa", "--lambda"])
+def test_exppair_report_rational_flags_at_extremes(capsys, flag):
+    # malformed literals, values outside 0 <= kappa <= 1/2 <= lambda <= 1
+    # (with and without --hypothetical) and huge values: exit 2, one line
+    base = {"--kappa": "11/30", "--lambda": "16/30"}
+    for value in ("1/0", "nan", "inf", "", "-1/2", "3/2", "1e400"):
+        for extra in ((), ("--hypothetical",)):
+            argv = ["exppair-report", *(f"{f}={value if f == flag else v}"
+                                        for f, v in base.items()), *extra]
+            rc, out, err = run(capsys, *argv)
+            assert rc == 2 and out == "", (argv, rc, out, err)
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    rc, out, err = run(capsys, "exppair-report", "--kappa", "0", "--lambda", "1/2")
+    assert rc == 2 and "--hypothetical" in err and err.count("\n") == 1, err
 
 
 @pytest.mark.filterwarnings("ignore::zetadiv.errors.PrecisionWarning")

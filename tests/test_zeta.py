@@ -9,12 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetadiv import (InvalidArgumentError, OutOfRangeError, PrecisionError, chi_factor,
-                     convexity_exponent, rs_term_count, rs_theta, rs_z_grid, theta1,
+from zetadiv import (InvalidArgumentError, OutOfRangeError, PrecisionError, ResourceLimitError,
+                     chi_factor, convexity_exponent, rs_term_count, rs_theta, rs_z_grid, theta1,
                      z_function, zeta_abs2_grid, zeta_em)
 from zetadiv import zeta
-from zetadiv.zeta import (RS_BLOCK_MIN_K, RS_CROSSOVER_T, RS_PHASE_ERR_MAX, SCAN_RS_MIN_T,
-                          THETA_SERIES_MIN_T, TWO_PI, _log_gamma, _main_sum_loop,
+from zetadiv.zeta import (EM_MAX_TERMS, RS_BLOCK_MIN_K, RS_CROSSOVER_T, RS_PHASE_ERR_MAX,
+                          SCAN_RS_MIN_T, THETA_SERIES_MIN_T, TWO_PI, _log_gamma, _main_sum_loop,
                           _phase_rounding_envelope)
 
 try:
@@ -183,9 +183,40 @@ def test_z_real_phase_rotation(rng):
         assert abs(w.imag) < 1e-10 * (1.0 + abs(w)), t
 
 
-def test_z_function_domain():
-    with pytest.raises(OutOfRangeError):
-        z_function(9.9)
+@settings(max_examples=40)
+@given(st.floats(0.0, 2.0 * RS_CROSSOVER_T))
+@example(0.0)
+@example(9.9)
+@example(RS_CROSSOVER_T - 0.5)
+@example(RS_CROSSOVER_T + 0.5)
+def test_z_function_domain(t):
+    # Z is even (theta is odd, zeta(1/2-it) the conjugate of zeta(1/2+it)):
+    # every finite t is in the domain, and -t gives the same bits on both
+    # routes, Euler-Maclaurin below the crossover and Riemann-Siegel above
+    assert z_function(-t) == z_function(t)
+
+
+@pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath not installed")
+def test_z_function_small_t_against_siegelz():
+    # below t = 10 the rotated Euler-Maclaurin route (log-Gamma phase) is
+    # oracle-grade too: 3.8e-15 measured on these points
+    with mpmath.workdps(30):
+        for t in np.linspace(0.0, 10.0, 208):
+            assert abs(z_function(t) - float(mpmath.siegelz(t))) <= 1e-14, t
+
+
+@pytest.mark.parametrize("s, terms", [(0.5 + 1e9j, None), (2.0, 2**40)],
+                         ids=["default-cut-at-1e9", "terms-2-40"])
+def test_zeta_em_term_cap(traced_peak, s, terms):
+    # a direct sum past EM_MAX_TERMS (9.7 GiB of logs at t = 1e9) is
+    # refused before anything is allocated; the cap itself still runs
+    def call():
+        with pytest.raises(ResourceLimitError, match="cap"):
+            zeta_em(s, terms=terms)
+
+    _, peak = traced_peak(call)
+    assert peak < 2**20, peak
+    assert abs(zeta_em(2.0, terms=EM_MAX_TERMS) - math.pi**2 / 6) <= 1e-12
 
 
 def test_first_two_zero_brackets():
