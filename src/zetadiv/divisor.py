@@ -57,8 +57,9 @@ MAX_SIEVE_LIMIT = 2**28
 DEFAULT_SEGMENT = 2**20
 
 #: Terms per block of ``block_sum`` (each temporary is 32 KiB; at T = 1e6 the
-#: blocked Atkinson sums run no slower than 2**10..2**20 blocks), and queries
-#: per step of an array divisor-sum query (about 6 MiB of temporaries).
+#: blocked Atkinson sums run no slower than 2**10..2**20 blocks), queries
+#: per step of an array divisor-sum query (about 6 MiB of temporaries), and
+#: rows per block of ``error_terms.write_columns_csv``.
 SUM_BLOCK = 2**12
 
 #: Largest x that ``hyperbola_divisor_sum`` takes: above about 1.04e18 the
@@ -163,8 +164,14 @@ def _signed_sums(table: DivisorTable, m, alt: bool):
     Every divisor sum here is this query: the block prefix at 64*(m // 64)
     plus the signed entries from there to m.  An int m sums them in Python;
     an int64 array m sums each run of queries in one block over one
-    gathered row, ``SUM_BLOCK`` queries at a time.
+    gathered row, ``SUM_BLOCK`` queries at a time.  An array not in
+    nondecreasing order is sorted once (stably) and its sums scattered back.
     """
+    if not isinstance(m, int) and np.any(m[1:] < m[:-1]):
+        perm = np.argsort(m, kind="stable")
+        out = np.empty_like(m)
+        out[perm] = _signed_sums(table, m[perm], alt)
+        return out
     b, r = divmod(m, PREFIX_BLOCK)
     blocks = table.alt_prefix() if alt else table.prefix()
     if isinstance(m, int):
@@ -331,7 +338,7 @@ def save_table(table: DivisorTable, path) -> None:
     The temp file has a unique name in the target's directory, so
     concurrent writers never share it; it is removed if writing fails.
     """
-    payload = np.ascontiguousarray(table.values, dtype="<u2").tobytes()
+    payload = memoryview(np.ascontiguousarray(table.values, dtype="<u2"))  # no copy on LE hosts
     digest = hashlib.sha256(payload).digest()
     header = _CACHE_MAGIC + struct.pack("<IQ", _CACHE_VERSION, table.limit) + digest
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
@@ -352,7 +359,8 @@ def load_table(path, *, limit: int | None = None) -> DivisorTable:
     If ``limit`` is given, the cached table must cover at least that
     limit; a larger cache is sliced down to the request.  Raises
     ``CacheError`` on any inconsistency (caller decides whether to
-    rebuild).
+    rebuild).  The payload is read into its final array, after the file
+    size is checked, so a load holds one payload.
     """
     with open(path, "rb") as fh:
         header = fh.read(8 + 4 + 8 + 32)
@@ -362,15 +370,18 @@ def load_table(path, *, limit: int | None = None) -> DivisorTable:
         if version != _CACHE_VERSION:
             raise CacheError(f"{path}: unsupported cache version {version}")
         digest = header[20:52]
-        payload = fh.read()
-    expected = (stored_limit + 1) * 2
-    if len(payload) != expected:
-        raise CacheError(f"{path}: truncated payload ({len(payload)} != {expected} bytes)")
+        expected = (stored_limit + 1) * 2
+        size = os.fstat(fh.fileno()).st_size - len(header)
+        if size == expected:
+            payload = np.empty(stored_limit + 1, dtype="<u2")
+            size = fh.readinto(payload)
+    if size != expected:
+        raise CacheError(f"{path}: truncated payload ({size} != {expected} bytes)")
     if hashlib.sha256(payload).digest() != digest:
         raise CacheError(f"{path}: checksum mismatch")
     if limit is not None and stored_limit < limit:
         raise CacheError(f"{path}: cached limit {stored_limit} < requested {limit}")
     stored_limit = stored_limit if limit is None else limit  # a larger cache is sliced
-    values = np.frombuffer(payload, dtype="<u2")[:stored_limit + 1].astype(np.uint16, copy=False)
+    values = payload[:stored_limit + 1].astype(np.uint16, copy=False)
     values.setflags(write=False)
     return DivisorTable(limit=int(stored_limit), values=values)

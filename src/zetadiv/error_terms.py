@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divisor import (MAX_SIEVE_LIMIT, DivisorTable, block_sum, delta_star_grid, main_term,
-                      sieve_divisors)
+from .divisor import (MAX_SIEVE_LIMIT, SUM_BLOCK, DivisorTable, block_sum, delta_star_grid,
+                      main_term, sieve_divisors)
 from .errors import (InvalidArgumentError, OutOfRangeError, PrecisionError,
                      PrecisionWarning, ResourceLimitError)
 from .zeta import SCAN_RS_MIN_T, TWO_PI, rs_term_count, theta1, zeta_abs2_grid
@@ -349,11 +349,12 @@ def E_balasubramanian(T: float) -> float:
 # ---------------------------------------------------------------------------
 
 def write_columns_csv(path, header: str, columns) -> None:
-    """CSV of equal-length float64 arrays, shortest round-trip formatting."""
-    cells = [map(repr, col.tolist()) for col in columns]
+    """CSV of equal-length float64 arrays, shortest round-trip repr, ``SUM_BLOCK`` rows a step."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        for lo in range(0, len(columns[0]), SUM_BLOCK):
+            cells = [map(repr, col[lo:lo + SUM_BLOCK].tolist()) for col in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 @dataclass(eq=False)

@@ -93,8 +93,9 @@ def _em_sum(s: np.ndarray, N: int, K: int) -> np.ndarray:
     """Euler-Maclaurin zeta over a 1-d array of s: direct sum to N - 1 plus K corrections."""
     out = np.zeros(s.shape, dtype=complex)
     logn = np.log(np.arange(1, N, dtype=np.float64))
-    for lo in range(0, s.size, 2048):
-        out[lo:lo + 2048] = np.exp(-np.multiply.outer(s[lo:lo + 2048], logn)).sum(axis=1)
+    rows = max(1, 2**16 // N)  # temporaries of 1 MiB or one row; each row sums on its own
+    for lo in range(0, s.size, rows):
+        out[lo:lo + rows] = np.exp(-np.multiply.outer(s[lo:lo + rows], logn)).sum(axis=1)
     logN = math.log(N)
     Nms = np.exp(-s * logN)  # N^{-s}
     out += Nms * N / (s - 1) + 0.5 * Nms
@@ -135,16 +136,12 @@ def zeta_em(s, terms: int | None = None, correction_order: int | None = None) ->
 
 
 def _zeta_half_em_grid(ts: np.ndarray) -> np.ndarray:
-    """Vectorised zeta(1/2+it) over a modest grid (Euler-Maclaurin).
+    """Vectorised zeta(1/2+it) for |t| < SCAN_RS_MIN_T (Euler-Maclaurin).
 
-    Cost is len(ts) * N with N = _em_terms(max(SCAN_RS_MIN_T, max|t|)),
-    intended for the t < SCAN_RS_MIN_T region of long scans.  Below that
-    seam the cut is the fixed 284, so a value does not depend on which
-    other points share its call.
+    The cut is the fixed _em_terms(SCAN_RS_MIN_T) = 284, so a value does
+    not depend on which other points share its call.
     """
-    ts = np.asarray(ts, dtype=float)
-    N = _em_terms(max(SCAN_RS_MIN_T, float(np.max(np.abs(ts), initial=0.0))))
-    return _em_sum(0.5 + 1j * ts, N, _EM_ORDER)
+    return _em_sum(0.5 + 1j * ts, _em_terms(SCAN_RS_MIN_T), _EM_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +511,13 @@ def z_function(t: float) -> float:
 
 
 def zeta_abs2_grid(ts) -> np.ndarray:
-    """|zeta(1/2+it)|^2 over an arbitrary t >= 0 grid (scan workhorse).
+    """|zeta(1/2+it)|^2 over an arbitrary grid of finite t (scan workhorse).
 
-    Euler-Maclaurin below SCAN_RS_MIN_T, Riemann-Siegel above; accuracy
-    is everywhere far below the quadrature tolerances that consume it.
+    Evaluated at |t|, since |zeta(1/2-it)| = |zeta(1/2+it)|: Euler-Maclaurin
+    below SCAN_RS_MIN_T, Riemann-Siegel above; accuracy is everywhere far
+    below the quadrature tolerances that consume it.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = np.abs(np.asarray(ts, dtype=float))
     out = np.empty_like(ts)
     low = ts < SCAN_RS_MIN_T
     if np.any(low):

@@ -458,6 +458,27 @@ def test_estar_scan_csv_contract(capsys, tmp_path):
     assert os.path.exists(out + ".manifest.json")
 
 
+#: sha256 of ``estar-scan --tmax 2000 --out``: 8,001 rows, across a seam of the
+#: CSV writer's 4096-row blocks and t up to 2000, past the moments goldens
+ESTAR_TMAX2000_SHA256 = "98b3b0a9bf6f8f285d63cf184cb60e8563c508726603662525ce53995370be33"
+
+
+def test_estar_scan_tmax2000_golden(capsys, tmp_path):
+    # the first run sieves and saves the divisor table, the second loads it
+    # (a rebuild would replace the file by a new one)
+    cache = tmp_path / "cache"
+    stats = []
+    for status in ("built", "hit"):
+        out = tmp_path / f"{status}.csv"
+        rc, _, _ = run(capsys, "--cache-dir", str(cache), "estar-scan", "--tmax", "2000",
+                       "--out", str(out))
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == ESTAR_TMAX2000_SHA256, status
+        st = os.stat(cache / "divisor_table.bin")
+        stats.append((st.st_ino, st.st_mtime_ns))
+    assert stats[0] == stats[1]
+
+
 #: sha256 of ``moments --tmax 300 --k k --out`` CSVs
 MOMENTS_TMAX300_SHA256 = {
     2: "25d7b9df7b5e66d97fb9362bdf5e166b0798f4d679546559e164e056f73665ad",

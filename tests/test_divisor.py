@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 from decimal import Decimal, localcontext
@@ -134,6 +135,17 @@ def test_block_query_matches_cumsum(data):
         assert [_signed_sums(table, m, alt) for m in ms] == ref
         with mock.patch.object(divisor, "SUM_BLOCK", 3):
             assert _signed_sums(table, np.array(ms, dtype=np.int64), alt).tolist() == ref
+
+
+def test_shuffled_array_query_matches_sorted(table_big, rng):
+    # an array query out of order is sorted once and scattered back: each
+    # element is the sorted query's integer, repeats included
+    ms = np.sort(np.concatenate((rng.integers(0, table_big.limit + 1, 30_000),
+                                 np.arange(0, 640, 7), [table_big.limit] * 3)))
+    perm = rng.permutation(ms.size)
+    for alt in (False, True):
+        assert np.array_equal(_signed_sums(table_big, ms[perm], alt),
+                              _signed_sums(table_big, ms, alt)[perm])
 
 
 def test_segmented_matches_plain():
@@ -326,6 +338,36 @@ def test_cache_roundtrip(tmp_path):
     # a cache smaller than the request is refused
     with pytest.raises(CacheError):
         load_table(path, limit=10**6)
+
+
+def test_cache_bytes_and_io_peaks(table_big, tmp_path, traced_peak):
+    # the file is header + sha256 + the <u2 payload, written from the
+    # table's own buffer and read back into one preallocated array
+    path = tmp_path / "big.bin"
+    _, peak = traced_peak(lambda: save_table(table_big, path))
+    assert peak < 2**20, peak
+    payload = table_big.values.astype("<u2").tobytes()
+    assert path.read_bytes() == (b"ZDTABLE1" + struct.pack("<IQ", 2, table_big.limit)
+                                 + hashlib.sha256(payload).digest() + payload)
+    loaded, peak = traced_peak(lambda: load_table(path))
+    assert peak < 1.1 * len(payload), peak / len(payload)
+    assert np.array_equal(loaded.values, table_big.values)
+    assert not loaded.values.flags.writeable
+
+
+def test_cache_rejects_wrong_payload_size(tmp_path):
+    # short and long payloads, and a header whose limit no file could hold,
+    # are refused by size before any payload array is allocated
+    table = sieve_divisors(1000)
+    path = tmp_path / "tab.bin"
+    save_table(table, path)
+    raw = path.read_bytes()
+    huge = raw[:8] + struct.pack("<IQ", 2, 2**62) + raw[20:]
+    for data, got, want in ((raw[:-2], 2000, 2002), (raw + b"\0", 2003, 2002),
+                            (huge, 2002, 2**63 + 2)):
+        path.write_bytes(data)
+        with pytest.raises(CacheError, match=rf"truncated payload \({got} != {want} bytes\)"):
+            load_table(path)
 
 
 def test_cache_sliced_v2_roundtrip(tmp_path):

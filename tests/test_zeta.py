@@ -453,6 +453,32 @@ def test_scan_engine_seam_continuity():
     assert abs(below - above) < 1e-3 * (1.0 + abs(below))
 
 
+def test_zeta_abs2_grid_em_route_in_bounded_memory(traced_peak):
+    # estar-scan's t < 200 share (4,956 points): the Euler-Maclaurin sum
+    # runs 2^16 // 284 = 230 points a block, so its temporaries stay near
+    # 1 MiB; each row is summed on its own, so a point's value is the same
+    # alone as in any block
+    ts = np.linspace(0.0, SCAN_RS_MIN_T, 4956, endpoint=False)
+    vals, peak = traced_peak(lambda: zeta_abs2_grid(ts))
+    assert peak < 4 * 2**20, peak
+    for i in (0, 229, 230, 231, 4955):
+        assert zeta_abs2_grid(ts[i:i + 1])[0] == vals[i], i
+
+
+def test_zeta_abs2_grid_negative_t_is_abs_t(traced_peak):
+    # |zeta(1/2-it)| = |zeta(1/2+it)|: a large negative t takes the
+    # Riemann-Siegel route at |t| and leaves the Euler-Maclaurin cut of
+    # the other points at 284
+    base = np.linspace(0.0, 100.0, 2000)
+    vals, peak = traced_peak(lambda: zeta_abs2_grid(np.append(base, -2e4)))
+    assert vals[-1] == zeta_abs2_grid([2e4])[0]
+    assert np.array_equal(vals[:-1], zeta_abs2_grid(base))
+    assert peak < 8 * 2**20, peak
+    assert np.array_equal(zeta_abs2_grid(-base[::-1]), zeta_abs2_grid(base)[::-1])
+    with pytest.raises(InvalidArgumentError):
+        zeta_abs2_grid([1.0, -np.inf])
+
+
 # ---------------------------------------------------------------------------
 # convexity exponent
 # ---------------------------------------------------------------------------
