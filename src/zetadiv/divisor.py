@@ -164,14 +164,8 @@ def _signed_sums(table: DivisorTable, m, alt: bool):
     Every divisor sum here is this query: the block prefix at 64*(m // 64)
     plus the signed entries from there to m.  An int m sums them in Python;
     an int64 array m sums each run of queries in one block over one
-    gathered row, ``SUM_BLOCK`` queries at a time.  An array not in
-    nondecreasing order is sorted once (stably) and its sums scattered back.
+    gathered row, ``SUM_BLOCK`` queries at a time.
     """
-    if not isinstance(m, int) and np.any(m[1:] < m[:-1]):
-        perm = np.argsort(m, kind="stable")
-        out = np.empty_like(m)
-        out[perm] = _signed_sums(table, m[perm], alt)
-        return out
     b, r = divmod(m, PREFIX_BLOCK)
     blocks = table.alt_prefix() if alt else table.prefix()
     if isinstance(m, int):

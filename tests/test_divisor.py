@@ -137,17 +137,6 @@ def test_block_query_matches_cumsum(data):
             assert _signed_sums(table, np.array(ms, dtype=np.int64), alt).tolist() == ref
 
 
-def test_shuffled_array_query_matches_sorted(table_big, rng):
-    # an array query out of order is sorted once and scattered back: each
-    # element is the sorted query's integer, repeats included
-    ms = np.sort(np.concatenate((rng.integers(0, table_big.limit + 1, 30_000),
-                                 np.arange(0, 640, 7), [table_big.limit] * 3)))
-    perm = rng.permutation(ms.size)
-    for alt in (False, True):
-        assert np.array_equal(_signed_sums(table_big, ms[perm], alt),
-                              _signed_sums(table_big, ms, alt)[perm])
-
-
 def test_segmented_matches_plain():
     # two full segments and a partial third: no seam may show against the
     # pairing pass run once over the whole array
