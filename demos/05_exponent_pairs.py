@@ -10,21 +10,19 @@ criterion over the classical 1/3 exponent is 3*lambda + kappa < 2.
 
 from fractions import Fraction
 
-from zetadiv import (ExponentPair, apply_A, apply_B, report, search_optimal,
-                     seed_pairs)
+from zetadiv import ExponentPair, apply_A, apply_B, search_optimal, seed_pairs
 
 print("seed pairs and their exponents:")
 for p in seed_pairs():
-    r = report(p)
-    print(f"  ({p.kappa}, {p.lam}): theta_div={r.theta_div} "
-          f"theta_zeta={r.theta_zeta} beats-1/3={r.beats_one_third}")
+    print(f"  ({p.kappa}, {p.lam}): theta_div={p.theta_div} "
+          f"theta_zeta={p.theta_zeta} beats-1/3={p.beats_one_third}")
 
 std = ExponentPair(Fraction(1, 2), Fraction(1, 2))
 print("\nprocess walk from the standard pair (1/2, 1/2):")
 p = std
 for step in "AAAB":
     p = apply_A(p) if step == "A" else apply_B(p)
-    print(f"  {p.word:>4} -> ({p.kappa}, {p.lam})   theta_div={report(p).theta_div}")
+    print(f"  {p.word:>4} -> ({p.kappa}, {p.lam})   theta_div={p.theta_div}")
 print("  (the word AAAB lands on the cited pair (11/30, 16/30), theta 27/82)")
 
 print("\nexhaustive breadth-first search over process words:")
@@ -32,14 +30,14 @@ for depth in (1, 4, 7, 10):
     res = search_optimal(depth)
     b = res.best
     print(f"  depth {depth:>2}: best theta_div = {b.theta_div} "
-          f"(~{float(b.theta_div):.6f}) at ({b.pair.kappa}, {b.pair.lam}) "
-          f"word={b.pair.word or 'seed'}; {res.explored} pairs explored")
+          f"(~{float(b.theta_div):.6f}) at ({b.kappa}, {b.lam}) "
+          f"word={b.word or 'seed'}; {res.explored} pairs explored")
 
 res = search_optimal(10)
 print(f"\nPareto frontier in (kappa, lambda) holds {len(res.frontier)} pairs "
       "(the closure is an antichain: no pair dominates another)")
 
-lind = report(ExponentPair(Fraction(0), Fraction(1, 2), hypothetical=True))
+lind = ExponentPair(Fraction(0), Fraction(1, 2))
 print(f"\nhypothetical Lindelof pair (0, 1/2): theta_div = {lind.theta_div} "
       "(the conjectural 1/4 for both remainders)")
 print("literature note: the Bombieri-Iwaniec method yields exponents such as "

@@ -21,9 +21,8 @@ from .error_terms import (AtkinsonEval, E_atkinson, E_balasubramanian, E_direct,
                           E_grid, ScanResult, ZetaMeanSquare,
                           empirical_exponent, estar_scan, fit_log_cubic,
                           moment_scan_from_samples, short_interval_ms)
-from .exppairs import (ExponentPair, ExponentReport, SearchResult, apply_A,
-                       apply_B, is_process_reachable, parse_fraction, report,
-                       search_optimal, seed_pairs, write_frontier_csv)
+from .exppairs import (ExponentPair, SearchResult, apply_A, apply_B, is_process_reachable,
+                       parse_fraction, search_optimal, seed_pairs, write_frontier_csv)
 from .voronoi import (VoronoiSum, delta_series_target, delta_star_series_target,
                       voronoi_delta, voronoi_delta_star)
 from .zeta import (chi_factor, convexity_exponent, rs_term_count, rs_theta, rs_z_grid,

@@ -22,7 +22,7 @@ from .divisor import (delta, delta_grid, delta_star, delta_star_alternating,
 from .error_terms import (E_atkinson, E_balasubramanian, E_direct, empirical_exponent,
                           estar_scan, fit_log_cubic, moment_scan_from_samples,
                           short_interval_ms)
-from .exppairs import ExponentPair, report, search_optimal
+from .exppairs import ExponentPair, search_optimal
 from .voronoi import voronoi_delta, voronoi_delta_star
 from .zeta import TWO_PI, chi_factor, z_function, zeta_abs2_grid, zeta_em
 
@@ -31,8 +31,8 @@ THIRD = Fraction(1, 3)
 
 def criterion_1() -> tuple[bool, str]:
     """Exact exponent goldens of the pair calculus."""
-    std = report(ExponentPair(Fraction(1, 2), Fraction(1, 2)))
-    hux = report(ExponentPair(Fraction(11, 30), Fraction(16, 30)))
+    std = ExponentPair(Fraction(1, 2), Fraction(1, 2))
+    hux = ExponentPair(Fraction(11, 30), Fraction(16, 30))
     ok = (std.theta_div == THIRD
           and hux.theta_div == Fraction(27, 82)
           and std.theta_zeta == Fraction(1, 6)
@@ -194,15 +194,14 @@ def criterion_7(tmax: float = 2e4) -> tuple[bool, str]:
 
 def criterion_8() -> tuple[bool, str]:
     """Process-word search sanity and exhaustive invariants."""
-    res10 = search_optimal(10)
-    monotone = all(res10.best_by_depth[i + 1] <= res10.best_by_depth[i]
-                   for i in range(10))
-    beats = res10.best.theta_div < THIRD
+    best = [search_optimal(depth).best.theta_div for depth in range(11)]
+    monotone = all(deeper <= shallower for shallower, deeper in zip(best, best[1:]))
+    beats = best[10] < THIRD
     res12 = search_optimal(12)
     invariants = all(0 <= p.kappa <= Fraction(1, 2) <= p.lam <= 1
                      for p in res12.frontier)
     ok = monotone and beats and invariants
-    detail = (f"depth-10 best theta_div = {res10.best.theta_div} (< 1/3: {beats}); "
+    detail = (f"depth-10 best theta_div = {best[10]} (< 1/3: {beats}); "
               f"monotone: {monotone}; depth-12 invariants on {res12.explored} "
               f"pairs: {invariants}")
     return ok, detail

@@ -351,7 +351,7 @@ def load_table(path, *, limit: int | None = None) -> DivisorTable:
     """Load a cached table, verifying magic, version and checksum.
 
     If ``limit`` is given, the cached table must cover at least that
-    limit; a larger cache is sliced down to the request.  Raises
+    limit; of a larger cache only a copy of the requested rows is kept.  Raises
     ``CacheError`` on any inconsistency (caller decides whether to
     rebuild).  The payload is read into its final array, after the file
     size is checked, so a load holds one payload.
@@ -375,7 +375,8 @@ def load_table(path, *, limit: int | None = None) -> DivisorTable:
         raise CacheError(f"{path}: checksum mismatch")
     if limit is not None and stored_limit < limit:
         raise CacheError(f"{path}: cached limit {stored_limit} < requested {limit}")
-    stored_limit = stored_limit if limit is None else limit  # a larger cache is sliced
-    values = payload[:stored_limit + 1].astype(np.uint16, copy=False)
+    if limit is not None and limit < stored_limit:
+        payload, stored_limit = payload[:limit + 1].copy(), limit
+    values = payload.astype(np.uint16, copy=False)
     values.setflags(write=False)
     return DivisorTable(limit=int(stored_limit), values=values)

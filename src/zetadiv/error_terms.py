@@ -200,19 +200,23 @@ def E_direct(T: float) -> float:
 
 
 def E_grid(tmax: float, step: float = 0.25) -> tuple[np.ndarray, np.ndarray, float]:
-    """E on the uniform grid 0, step, ..., ~tmax (cumulative, one pass).
+    """E on the uniform grid 0, step, ..., n step <= tmax (cumulative, one pass).
 
     Returns the grid, E on it and the audit error estimate at its last
-    point.  A grid of ``E_GRID_MAX_POINTS`` points or more raises
+    point, which must come in under ``E_DIRECT_TOL`` or a PrecisionError
+    is raised.  A grid of ``E_GRID_MAX_POINTS`` points or more raises
     ResourceLimitError (from ``ZetaMeanSquare.extend_to``).
     """
     if not (0.0 < tmax < math.inf and 0.0 < step < math.inf):
         raise InvalidArgumentError("tmax and step must be positive and finite")
     integ = ZetaMeanSquare(chunk=step)
     integ.extend_to(tmax)  # ceil(tmax/step) chunks, so n below is covered
-    n = round(tmax / step)
+    n = math.floor(tmax / step + 1e-9)
     ts = step * np.arange(n + 1)
-    return ts, integ._cum[:n + 1] - TWO_PI * main_term(ts / TWO_PI), float(integ._err[n])
+    err = float(integ._err[n])
+    if err > E_DIRECT_TOL:
+        raise PrecisionError(f"quadrature error estimate {err:.3e} exceeds {E_DIRECT_TOL}")
+    return ts, integ._cum[:n + 1] - TWO_PI * main_term(ts / TWO_PI), err
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ Every arithmetic operation in this module is exact.  The search runs on
 gcd-normalised integer triples (a, b, c) = c (kappa, lambda, 1), where
 A: (a, b, c) -> (a, a+b+c, 2a+2c) and B: (a, b, c) -> (2b-c, 2a+c, 2c);
 public values are fractions.Fraction, and floats serve only display and
-sort pre-keys whose ties exact values break.  The growth exponents are
+sort pre-keys whose ties exact values break.  The growth exponents,
+``ExponentPair`` properties, are
 
     theta_div  = (kappa + lambda) / (2 + 2 kappa)   (divisor remainder / E(T)),
     theta_zeta = (kappa + lambda) / (4 + 4 kappa)   (critical-line zeta),
@@ -30,9 +31,8 @@ by walking back from the pair to a seed one process at a time.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd
 
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -46,15 +46,15 @@ class ExponentPair:
     """An exact exponent pair with the process word that produced it.
 
     ``word`` lists the processes applied to the seed in order ("AAB"
-    means A, then A, then B).  ``hypothetical`` marks conjectural pairs
-    supplied by hand (e.g. the Lindelof pair (0, 1/2)) rather than
-    derived through the calculus.
+    means A, then A, then B).  A pair built by hand (e.g. the Lindelof
+    pair (0, 1/2)) carries no word and may be conjectural;
+    ``is_process_reachable`` decides whether the processes derive it.
+    The growth exponents and improvement flags are properties.
     """
 
     kappa: Fraction
     lam: Fraction
     word: str = ""
-    hypothetical: bool = False
 
     def __post_init__(self):
         if not isinstance(self.kappa, Fraction) or not isinstance(self.lam, Fraction):
@@ -66,9 +66,25 @@ class ExponentPair:
             raise InvalidArgumentError(
                 f"({self.kappa}, {self.lam}) violates 0 <= kappa <= 1/2 <= lambda <= 1")
 
-    def __str__(self):
-        w = self.word or "seed"
-        return f"({self.kappa}, {self.lam})[{w}]"
+    @property
+    def theta_div(self) -> Fraction:
+        """(kappa + lambda) / (2 + 2 kappa): the exponent of Delta(x) and E(T)."""
+        return (self.kappa + self.lam) / (2 + 2 * self.kappa)
+
+    @property
+    def theta_zeta(self) -> Fraction:
+        """theta_div / 2: the exponent of zeta(1/2 + it)."""
+        return self.theta_div / 2
+
+    @property
+    def beats_one_third(self) -> bool:
+        """Whether theta_div < 1/3, i.e. 3 lambda + kappa < 2."""
+        return 3 * self.lam + self.kappa < 2
+
+    @property
+    def nontrivial(self) -> bool:
+        """Whether lambda < 1, so theta_zeta beats the convexity exponent 1/4."""
+        return self.lam < 1
 
 
 def seed_pairs() -> tuple[ExponentPair, ...]:
@@ -88,32 +104,12 @@ def seed_pairs() -> tuple[ExponentPair, ...]:
 def apply_A(p: ExponentPair) -> ExponentPair:
     """A-process: (kappa, lambda) -> (kappa, kappa+lambda+1) / (2 kappa + 2)."""
     den = 2 * p.kappa + 2
-    return replace(p, kappa=p.kappa / den, lam=(p.kappa + p.lam + 1) / den,
-                   word=p.word + "A")
+    return ExponentPair(p.kappa / den, (p.kappa + p.lam + 1) / den, p.word + "A")
 
 
 def apply_B(p: ExponentPair) -> ExponentPair:
     """B-process: (kappa, lambda) -> (lambda - 1/2, kappa + 1/2); B(B(p)) = p."""
-    return replace(p, kappa=p.lam - HALF, lam=p.kappa + HALF, word=p.word + "B")
-
-
-@dataclass(frozen=True)
-class ExponentReport:
-    """The growth exponents and criteria derived from one pair."""
-
-    pair: ExponentPair
-    theta_div: Fraction
-    theta_zeta: Fraction
-    beats_one_third: bool
-    nontrivial: bool
-
-
-def report(p: ExponentPair) -> ExponentReport:
-    """Exact growth exponents and improvement criteria for a pair."""
-    s = p.kappa + p.lam
-    return ExponentReport(pair=p, theta_div=s / (2 + 2 * p.kappa),
-                          theta_zeta=s / (4 + 4 * p.kappa),
-                          beats_one_third=(3 * p.lam + p.kappa < 2), nontrivial=(p.lam < 1))
+    return ExponentPair(p.lam - HALF, p.kappa + HALF, p.word + "B")
 
 
 def pareto_frontier(pairs) -> list[ExponentPair]:
@@ -143,36 +139,31 @@ def _children(a: int, b: int, c: int) -> tuple[tuple[int, int, int], tuple[int, 
     return _normalise(a, a + b + c, 2 * (a + c)), _normalise(2 * b - c, 2 * a + c, 2 * c)
 
 
-def _closure(max_depth: int) -> tuple[dict, list[list[tuple]]]:
+def _closure(max_depth: int) -> dict[tuple[int, int, int], str]:
     """Breadth-first A/B closure of the seed pairs on triples, words up to max_depth long.
 
-    Returns a dict from each reached triple to its entry (triple, first word
-    found) and the entries first reached at each depth, ending at the last
-    nonempty one.
+    Returns a dict from each reached triple to the first word found for it.
     """
-    seen = {key: (key, "") for key in (_triple(s.kappa, s.lam) for s in seed_pairs())}
-    layers: list[list[tuple]] = [list(seen.values())]
+    seen = {_triple(s.kappa, s.lam): "" for s in seed_pairs()}
+    layer = list(seen.items())
     for _depth in range(max_depth):
         nxt = []
-        for (a, b, c), word in layers[-1]:
+        for (a, b, c), word in layer:
             for child, step in zip(_children(a, b, c), "AB"):
                 if child not in seen:
-                    seen[child] = entry = (child, word + step)
-                    nxt.append(entry)
-        if not nxt:
-            break
-        layers.append(nxt)
-    return seen, layers
+                    seen[child] = child_word = word + step
+                    nxt.append((child, child_word))
+        layer = nxt
+    return seen
 
 
 @dataclass
 class SearchResult:
     """Outcome of the exhaustive process-word search."""
 
-    best: ExponentReport
+    best: ExponentPair
     frontier: list[ExponentPair]
     explored: int
-    best_by_depth: list[Fraction] = field(default_factory=list)
 
 
 def search_optimal(max_depth: int) -> SearchResult:
@@ -180,11 +171,9 @@ def search_optimal(max_depth: int) -> SearchResult:
 
     Pairs are deduplicated exactly as gcd-normalised triples; BFS
     guarantees the stored word is of minimal length (ties resolved by the
-    fixed seed order, A before B, so runs are deterministic).  Among
-    equal theta_div values the returned minimiser takes the shortest,
-    then lexicographically smallest word.  ``best_by_depth[d]`` is the
-    exact theta_div minimum over everything reachable within depth d,
-    non-increasing by construction.  Empirically the whole closure is an
+    fixed seed order, A before B, so runs are deterministic).  ``best`` is
+    the pair of least theta_div, the shortest and then lexicographically
+    smallest word among equal values.  Empirically the whole closure is an
     antichain in (kappa, lambda), so the Pareto frontier coincides with
     the deduplicated reachable set.
     """
@@ -192,27 +181,18 @@ def search_optimal(max_depth: int) -> SearchResult:
         raise InvalidArgumentError("max_depth must be >= 0")
     if max_depth > MAX_SEARCH_DEPTH:
         raise ResourceLimitError(f"max_depth {max_depth} exceeds cap {MAX_SEARCH_DEPTH}")
-    seen, layers = _closure(max_depth)
+    entries = list(_closure(max_depth).items())
 
-    def theta(entry) -> Fraction:  # theta_div = (kappa + lambda) / (2 (1 + kappa))
-        a, b, c = entry[0]
-        return Fraction(a + b, 2 * (a + c))
+    def key(i: int) -> tuple:  # theta_div = (kappa + lambda) / (2 (1 + kappa)), then the word
+        (a, b, c), word = entries[i]
+        return Fraction(a + b, 2 * (a + c)), len(word), word
 
-    def argmin(entries) -> int:
-        """Index of the entry least in (theta_div, len(word), word); floats pick candidates."""
-        approx = [(a + b) / (a + c) for (a, b, c), _ in entries]
-        least = min(approx)
-        return min((i for i, x in enumerate(approx) if x == least),
-                   key=lambda i: (theta(entries[i]), len(entries[i][1]), entries[i][1]))
-
-    best_by_depth = list(accumulate((theta(layer[argmin(layer)]) for layer in layers), min))
-    best_by_depth += [best_by_depth[-1]] * (max_depth + 1 - len(best_by_depth))
-    entries = list(seen.values())
-    best = argmin(entries)
+    approx = [(a + b) / (a + c) for (a, b, c), _ in entries]  # floats pick the candidates
+    least = min(approx)
+    best = min((i for i, x in enumerate(approx) if x == least), key=key)
     pairs = [ExponentPair(Fraction(a, c), Fraction(b, c), word) for (a, b, c), word in entries]
-    del seen, layers, entries  # freed first, so the frontier sort's keys do not raise the peak
-    return SearchResult(best=report(pairs[best]), frontier=pareto_frontier(pairs),
-                        explored=len(pairs), best_by_depth=best_by_depth)
+    del entries, approx  # freed first, so the frontier sort's keys do not raise the peak
+    return SearchResult(best=pairs[best], frontier=pareto_frontier(pairs), explored=len(pairs))
 
 
 def write_frontier_csv(pairs, path) -> None:
@@ -221,8 +201,7 @@ def write_frontier_csv(pairs, path) -> None:
         w = csv.writer(fh)
         w.writerow(["kappa", "lambda", "word", "theta_div", "theta_zeta"])
         for p in pairs:
-            r = report(p)
-            w.writerow([p.kappa, p.lam, p.word, r.theta_div, r.theta_zeta])
+            w.writerow([p.kappa, p.lam, p.word, p.theta_div, p.theta_zeta])
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -15,7 +15,7 @@ import pytest
 from zetadiv import CacheError, load_table, sieve_divisors, voronoi_delta
 from zetadiv.cli import build_parser, main
 from zetadiv.divisor import MAX_SIEVE_LIMIT
-from zetadiv.error_terms import E_GRID_MAX_POINTS
+from zetadiv.error_terms import E_GRID_MAX_POINTS, E_direct
 from zetadiv.exppairs import MAX_SEARCH_DEPTH
 from zetadiv.zeta import zeta_em
 
@@ -247,11 +247,28 @@ def test_e_scan_grid_cap(capsys, argv):
 
 
 def test_e_scan_precision_exit(capsys, monkeypatch):
-    # e-scan gates on the library's E_DIRECT_TOL; at 0 every estimate fails it
-    monkeypatch.setattr("zetadiv.cli.E_DIRECT_TOL", 0.0)
+    # E_grid gates on E_DIRECT_TOL; at 0 every estimate fails it
+    monkeypatch.setattr("zetadiv.error_terms.E_DIRECT_TOL", 0.0)
     rc, _, err = run(capsys, "e-scan", "--tmax", "5")
     assert rc == 4
     assert err.startswith("precision failure: quadrature error estimate"), err
+
+
+@pytest.mark.filterwarnings("ignore::zetadiv.errors.PrecisionWarning")
+def test_scan_grids_stop_at_tmax(capsys, tmp_path):
+    # a step that does not divide tmax ends the grid at its last point
+    # below tmax, and e-scan names the t it printed
+    rc, out, _ = run(capsys, "e-scan", "--tmax", "15", "--step", "10")
+    assert rc == 0 and out.startswith("E(10.0) = "), out
+    assert float(out.split()[2]) == pytest.approx(E_direct(10.0), abs=1e-3)  # E(20) is 7.19
+    rc, out, _ = run(capsys, "e-scan", "--tmax", "100", "--step", "3")
+    assert rc == 0 and out.startswith("E(99.0) = "), out
+    # the divisor table covers tmax, so delta* is never read past it
+    scan = tmp_path / "scan.csv"
+    rc, out, err = run(capsys, "--cache-dir", str(tmp_path / "c"), "estar-scan",
+                       "--tmax", "15", "--step", "10", "--out", str(scan))
+    assert rc == 0, err
+    assert [row.split(",")[0] for row in scan.read_text().splitlines()[1:]] == ["0.0", "10.0"]
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -363,6 +363,8 @@ def test_cache_sliced_v2_roundtrip(tmp_path):
     table = sieve_divisors(10**4)
     save_table(table, tmp_path / "full.bin")
     sliced = load_table(tmp_path / "full.bin", limit=100)
+    # a copy of its 101 entries, not a view holding the 10,001-entry payload
+    assert sliced.values.base is None and sliced.values.nbytes == 202
     path = tmp_path / "sliced.bin"
     save_table(sliced, path)
     raw = path.read_bytes()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from zetadiv import (ExponentPair, InvalidArgumentError, ResourceLimitError,
                      apply_A, apply_B, is_process_reachable, parse_fraction,
-                     report, search_optimal, seed_pairs, write_frontier_csv)
+                     search_optimal, seed_pairs, write_frontier_csv)
 from zetadiv.exppairs import _children, _normalise, _triple, _word_from_seed
 
 HALF = Fraction(1, 2)
@@ -92,23 +92,24 @@ def test_word_of_cited_pair():
 
 def test_report_goldens():
     # criterion 1 holds the goldens of the standard and Huxley pairs
-    lind = report(ExponentPair(Fraction(0), HALF, hypothetical=True))
+    lind = ExponentPair(Fraction(0), HALF)
     assert lind.theta_div == Fraction(1, 4)
     assert lind.theta_zeta == Fraction(1, 8)
+    assert lind.beats_one_third is True and lind.nontrivial is True
 
 
 def test_theta_zeta_is_half_theta_div():
     res = search_optimal(8)
     for p in res.frontier:
-        r = report(p)
-        assert r.theta_zeta * 2 == r.theta_div
-        assert isinstance(r.theta_div, Fraction)
-        assert isinstance(r.theta_zeta, Fraction)
+        assert p.theta_zeta * 2 == p.theta_div
+        assert isinstance(p.theta_div, Fraction)
+        assert isinstance(p.theta_zeta, Fraction)
+        assert p.beats_one_third == (p.theta_div < Fraction(1, 3))
 
 
 def test_nontrivial_flag():
-    assert report(ExponentPair(Fraction(0), Fraction(1))).nontrivial is False
-    assert report(STD).nontrivial is True
+    assert ExponentPair(Fraction(0), Fraction(1)).nontrivial is False
+    assert STD.nontrivial is True
 
 
 def test_search_depth1_from_standard_seed():
@@ -118,20 +119,21 @@ def test_search_depth1_from_standard_seed():
     for depth, explored in ((0, 4), (1, 7), (2, 11)):
         res = search_optimal(depth)
         assert res.explored == explored
+        assert res.best == ExponentPair(Fraction(11, 30), Fraction(16, 30))
         assert res.best.theta_div == Fraction(27, 82)
-        assert res.best.pair.word == ""
-        assert res.best_by_depth == [Fraction(27, 82)] * (depth + 1)
 
 
 def test_search_monotone_and_beats_one_third():
-    res = search_optimal(10)
-    bb = res.best_by_depth
-    assert len(bb) == 11
-    assert all(bb[i + 1] <= bb[i] for i in range(10))
-    assert res.best.theta_div < Fraction(1, 3)
+    # each depth's search is independent, so a deeper best that came out
+    # worse than a shallower one would show here
+    bests = [search_optimal(depth).best for depth in range(11)]
+    assert all(deeper.theta_div <= shallower.theta_div
+               for shallower, deeper in zip(bests, bests[1:]))
+    best = bests[10]
+    assert best.theta_div < Fraction(1, 3) and best.beats_one_third
     # frozen golden from the exhaustive run
-    assert res.best.theta_div == Fraction(229, 696)
-    assert (res.best.pair.kappa, res.best.pair.lam) == (Fraction(97, 251), Fraction(132, 251))
+    assert best.theta_div == Fraction(229, 696)
+    assert (best.kappa, best.lam) == (Fraction(97, 251), Fraction(132, 251))
 
 
 def test_search_validation():
@@ -215,10 +217,11 @@ def test_triple_normalisation_is_canonical(kappa, lam, m):
 def test_search_depth16_golden(tmp_path):
     res = search_optimal(16)
     assert res.explored == 8363
-    best = res.best.pair
+    best = res.best
     assert (best.kappa, best.lam, best.word) == (
         Fraction(1731, 4492), Fraction(591, 1123), "ABAABABABAABAAAB")
-    assert res.best.theta_div == res.best_by_depth[-1] == Fraction(585, 1778)
+    assert best.theta_div == Fraction(585, 1778)
+    assert all(p.theta_div >= best.theta_div for p in res.frontier)
     out = tmp_path / "frontier.csv"
     write_frontier_csv(res.frontier, out)
     assert hashlib.sha256(out.read_bytes()).hexdigest().startswith("c5e7f723a490fc8a")
