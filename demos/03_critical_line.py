@@ -29,7 +29,7 @@ for lo, hi in ((14.0, 14.2), (20.9, 21.1)):
     fa = z_function(a)
     for _ in range(40):
         mid = 0.5 * (a + b)
-        fm = z_function(mid) if mid >= 10 else fa
+        fm = z_function(mid)
         if fa * fm <= 0:
             b = mid
         else:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .divisor import (delta, delta_grid, delta_star, delta_star_alternating,
                       delta_via_psi, divisor_sum, hyperbola_divisor_sum, sieve_divisors)
-from .error_terms import (E_atkinson, E_balasubramanian, E_direct, empirical_exponent,
+from .error_terms import (E_atkinson, E_balasubramanian, E_grid, empirical_exponent,
                           estar_scan, fit_log_cubic, moment_scan_from_samples,
                           short_interval_ms)
 from .exppairs import ExponentPair, search_optimal
@@ -123,9 +123,11 @@ def criterion_4() -> tuple[bool, str]:
 def criterion_5() -> tuple[bool, str]:
     """Three-formula consistency for E(T): C = max |E_direct - E_other| / log^2 T."""
     table = sieve_divisors(6000)
+    e_direct = E_grid(5000.0, 0.25)[1]  # E_direct(T) is the grid's point T/0.25
     c, rows = 0.0, []
     for T in (100.0, 300.0, 1000.0, 3000.0, 5000.0):
-        ed, ea, eb = E_direct(T), E_atkinson(T, table=table).value, E_balasubramanian(T)
+        ed = float(e_direct[round(T / 0.25)])
+        ea, eb = E_atkinson(T, table=table).value, E_balasubramanian(T)
         l2 = math.log(T) ** 2
         c = max(c, abs(ed - ea) / l2, abs(ed - eb) / l2)
         rows.append(f"T={T:.0f}: {ed:+.2f}/{ea:+.2f}/{eb:+.2f}")

@@ -28,8 +28,8 @@ from .divisor import (DivisorTable, delta_grid, load_table, save_table,
                       sieve_divisors)
 from .errors import (CacheError, InvalidArgumentError, PrecisionError,
                      ResourceLimitError, ZetaDivError)
-from .error_terms import (E_GRID_MAX_POINTS, MOMENT_J_MIN, E_atkinson,
-                          E_balasubramanian, E_grid, atkinson_cutoffs, estar_scan, fit_log_cubic,
+from .error_terms import (E_GRID_MAX_POINTS, MOMENT_J_MIN, E_atkinson, E_balasubramanian,
+                          E_grid, atkinson_cutoffs, check_E_grid, estar_scan, fit_log_cubic,
                           moment_scan_from_samples, short_interval_ms, write_columns_csv)
 from .exppairs import (ExponentPair, is_process_reachable, parse_fraction, search_optimal,
                        write_frontier_csv)
@@ -190,8 +190,7 @@ def cmd_balasu(args) -> int:
 
 
 def _estar_table(args) -> DivisorTable:
-    if args.tmax <= 0:
-        raise InvalidArgumentError(f"--tmax must be positive, got {args.tmax!r}")
+    check_E_grid(args.tmax, args.step)  # before the table is sized
     return cache_table(int(4 * args.tmax / TWO_PI) + 2, _cache_dir(args))[0]
 
 

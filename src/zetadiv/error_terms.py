@@ -6,9 +6,10 @@ The central object is
 
 computed here by
 
-* ``E_direct``          - composite Gauss-Legendre quadrature of Z(t)^2
-                          with an audited error estimate (chunked and
-                          cumulative, so scans are cheap);
+* ``E_grid``            - composite Gauss-Legendre quadrature of Z(t)^2,
+                          cumulative over a uniform grid in one pass, with
+                          an audited error estimate; ``E_direct(T)`` is the
+                          last point of a grid on [0, T];
 * ``E_atkinson``        - the Atkinson explicit formula: two divisor-
                           weighted oscillating sums with exact ar-sinh
                           phase and amplitude factors, remainder O(log^2 T);
@@ -157,46 +158,26 @@ class ZetaMeanSquare:
             k = k_end
         self._cum, self._err = cum, err
 
-    def integral(self, T: float) -> float:
-        """integral_0^T Z(t)^2 dt (extends the cache as needed)."""
-        if not 0.0 <= T < math.inf:
-            raise InvalidArgumentError(f"integral needs finite T >= 0, got {T!r}")
-        self.extend_to(T)
-        k = int(T / self.chunk)
-        base = float(self._cum[k])
-        a = k * self.chunk
-        if T > a + 1e-12 * max(1.0, T):
-            base += float(_gl_sum(np.array([a]), T - a, _panel_count(T - a, T),
-                                  zeta_abs2_grid, _GL_RULE)[0])
-        return base
-
     def error_estimate(self, T: float) -> float:
         """Accumulated audit error estimate of the cached prefix at T."""
         self.extend_to(T)
         return float(self._err[int(T / self.chunk)])
 
 
-#: Process-wide quadrature cache of E_direct (grown lazily, never shrunk).
-_shared_integrator = ZetaMeanSquare()
-
-
-#: E_direct raises PrecisionError when the cache's audit estimate at T exceeds this.
+#: E_grid raises PrecisionError when the audit estimate at its last point
+#: exceeds this (so E_direct does at T).
 E_DIRECT_TOL = 0.1
 
 
-def E_direct(T: float) -> float:
-    """E(T) by direct quadrature of Z(t)^2, on the one process-wide cache.
-
-    The cached cumulative error at T must come in under ``E_DIRECT_TOL`` or
-    a PrecisionError is raised.
-    """
-    if not 0.0 <= T < math.inf:
-        raise InvalidArgumentError(f"E_direct needs finite T >= 0, got {T!r}")
-    val = _shared_integrator.integral(T)
-    err = _shared_integrator.error_estimate(T)
-    if err > E_DIRECT_TOL:
-        raise PrecisionError(f"quadrature error estimate {err:.3e} exceeds {E_DIRECT_TOL} at T={T}")
-    return val - TWO_PI * main_term(T / TWO_PI)
+def check_E_grid(tmax: float, step: float) -> None:
+    """Refuse a tmax or step that is not positive and finite, and a step above
+    tmax, whose grid would hold only t = 0."""
+    if not (0.0 < tmax < math.inf and 0.0 < step < math.inf):
+        raise InvalidArgumentError(f"tmax and step must be positive and finite, "
+                                   f"got tmax={tmax!r}, step={step!r}")
+    if tmax / step + 1e-9 < 1.0:
+        raise InvalidArgumentError(f"step {step!r} exceeds tmax {tmax!r}: "
+                                   "the E grid would hold only t = 0")
 
 
 def E_grid(tmax: float, step: float = 0.25) -> tuple[np.ndarray, np.ndarray, float]:
@@ -204,11 +185,11 @@ def E_grid(tmax: float, step: float = 0.25) -> tuple[np.ndarray, np.ndarray, flo
 
     Returns the grid, E on it and the audit error estimate at its last
     point, which must come in under ``E_DIRECT_TOL`` or a PrecisionError
-    is raised.  A grid of ``E_GRID_MAX_POINTS`` points or more raises
-    ResourceLimitError (from ``ZetaMeanSquare.extend_to``).
+    is raised.  ``check_E_grid`` refuses the arguments first; a grid of
+    ``E_GRID_MAX_POINTS`` points or more raises ResourceLimitError (from
+    ``ZetaMeanSquare.extend_to``).
     """
-    if not (0.0 < tmax < math.inf and 0.0 < step < math.inf):
-        raise InvalidArgumentError("tmax and step must be positive and finite")
+    check_E_grid(tmax, step)
     integ = ZetaMeanSquare(chunk=step)
     integ.extend_to(tmax)  # ceil(tmax/step) chunks, so n below is covered
     n = math.floor(tmax / step + 1e-9)
@@ -217,6 +198,14 @@ def E_grid(tmax: float, step: float = 0.25) -> tuple[np.ndarray, np.ndarray, flo
     if err > E_DIRECT_TOL:
         raise PrecisionError(f"quadrature error estimate {err:.3e} exceeds {E_DIRECT_TOL}")
     return ts, integ._cum[:n + 1] - TWO_PI * main_term(ts / TWO_PI), err
+
+
+def E_direct(T: float) -> float:
+    """E(T) at the last point of an ``E_grid`` of ceil(T/0.25) equal chunks
+    of [0, T]; 0.0 at T = 0."""
+    if not 0.0 <= T < math.inf:
+        raise InvalidArgumentError(f"E_direct needs finite T >= 0, got {T!r}")
+    return float(E_grid(T, T / math.ceil(T / 0.25))[1][-1]) if T > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

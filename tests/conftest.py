@@ -27,6 +27,15 @@ def subconvexity_arrays():
     return ts, run
 
 
+@pytest.fixture(scope="session")
+def estar_2e4():
+    """One criterion-7 scan (E, 2 pi delta* and E* on [0, 2e4] at step 0.25), read-only, shared."""
+    scan = acceptance.estar_scan(2e4, 0.25)
+    for col in (scan.t, scan.E, scan.delta_star_scaled, scan.E_star):
+        col.flags.writeable = False
+    return scan
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)

@@ -274,9 +274,13 @@ def test_scan_grids_stop_at_tmax(capsys, tmp_path):
 @pytest.mark.parametrize("argv, named", [
     (("atkinson", "--T", "1000", "--N", "3e7"), "cutoff N=30000000.0"),
     (("atkinson", "--T", "-5"), "T > 0, got T=-5.0"),
-    (("estar-scan", "--tmax", "-5", "--out", "{tmp}/scan.csv"), "--tmax"),
+    (("estar-scan", "--tmax", "-5", "--out", "{tmp}/scan.csv"), "got tmax=-5.0, step=0.25"),
     (("moments", "--tmax", "-5"), "--tmax"),
     (("moments", "--tmax", "10"), "--tmax must be >= 16"),
+    (("estar-scan", "--tmax", "0.2", "--step", "0.25", "--out", "{tmp}/scan.csv"),
+     "step 0.25 exceeds tmax 0.2"),
+    (("moments", "--tmax", "16", "--step", "20"), "step 20.0 exceeds tmax 16.0"),
+    (("e-scan", "--tmax", "0.2", "--step", "0.25"), "step 0.25 exceeds tmax 0.2"),
     (("voronoi", "--x", "1", "--n", "100"), "x must be finite and >= 2, got 1.0"),
     (("voronoi", "--x", "500", "--n", "-5"), "truncation N must be finite and >= 2, got -5"),
     (("delta-scan", "--max", "10", "--step", "1", "--log-spaced"), "--log-spaced needs --count"),
@@ -284,14 +288,17 @@ def test_scan_grids_stop_at_tmax(capsys, tmp_path):
      "exactly one of --step and --count"),
     (("delta-scan", "--max", "-5", "--count", "4"), "empty range: min=1.0, max=-5.0"),
 ], ids=["atkinson-N", "atkinson-T", "estar-scan-tmax", "moments-tmax", "moments-tmax-below-16",
+        "estar-scan-step-above-tmax", "moments-step-above-tmax", "e-scan-step-above-tmax",
         "voronoi-x", "voronoi-n", "delta-scan-log-without-count", "delta-scan-step-and-count",
         "delta-scan-max-below-1"])
 def test_table_commands_check_flags_before_sieving(capsys, tmp_path, argv, named):
-    # a bad flag exits 2 and names itself; no divisor table is sized or cached
+    # a bad flag exits 2 and names itself; no divisor table is sized or
+    # cached, and no --out is written
     cache = tmp_path / "cache"
     rc, out, err = run(capsys, "--cache-dir", str(cache), *[a.format(tmp=tmp_path) for a in argv])
     assert rc == 2 and named in err, (rc, out, err)
     assert not (cache / "divisor_table.bin").exists()
+    assert not (tmp_path / "scan.csv").exists()
 
 
 @pytest.mark.parametrize("cache, argv", [

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zetadiv import (E_atkinson, E_balasubramanian, E_direct, E_grid,
@@ -46,10 +46,48 @@ def test_E_direct_step_halving_agreement():
 def test_E_direct_additivity():
     # [0, T2] equals [0, T1] plus an independently integrated [T1, T2]
     t1, t2 = 150.0, 300.0
-    ms = ZetaMeanSquare()
-    i1 = ms.integral(t1)
-    i2 = ms.integral(t2)
+    i1, i2 = (E_direct(t) + TWO_PI * main_term(t / TWO_PI) for t in (t1, t2))
     assert abs((i2 - i1) - simpson(t1, t2, 8192)) < 0.01
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.integers(1, 8000))
+@example(800)
+@example(4097)
+def test_E_direct_is_a_point_of_the_quarter_grid(estar_2e4, k):
+    # at T = k/4, E_direct is the point k of any longer grid at step 0.25,
+    # bit for bit: across the route seam (k = 800) and the 4096-chunk group
+    # seam of the cumulative sum
+    T = 0.25 * k
+    assert E_direct(T) == E_grid(T, 0.25)[1][-1] == estar_2e4.E[k]
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.floats(0.01, 300.0))
+@example(123.4567)
+def test_E_direct_off_the_quarter_grid(T):
+    # off the multiples of 0.25, E_direct is the last point of ceil(T/0.25)
+    # equal chunks of [0, T], and agrees with Simpson at step below 0.05
+    # (to 2e-6 below t = 200; above it both straddle the route seam's jump
+    # in |zeta|^2, and they differed by up to 2.9e-5)
+    assume(T % 0.25 != 0.0)
+    n = math.ceil(T / 0.25)
+    ts, es, _ = E_grid(T, T / n)
+    assert ts.size == n + 1 and abs(ts[-1] - T) <= 1e-12 * T
+    assert E_direct(T) == es[-1]
+    ref = simpson(0.0, T, 2 * math.ceil(T / 0.1)) - TWO_PI * main_term(T / TWO_PI)
+    assert abs(es[-1] - ref) <= 1e-4
+
+
+def test_E_direct_gate_has_no_growth_history(monkeypatch):
+    # each call gates on its own grid's audit estimate (1.655e-3 at 1000):
+    # earlier calls at 100 and 300 do not lower it, as they would on one
+    # cache grown by them (4.54e-4 at 1000)
+    monkeypatch.setattr("zetadiv.error_terms.E_DIRECT_TOL", 1e-3)
+    E_direct(100.0)
+    E_direct(300.0)
+    with pytest.raises(PrecisionError, match="1.655e-03"):
+        E_direct(1000.0)
 
 
 def test_shared_gl_samples_match_separate_grids():
@@ -78,9 +116,9 @@ def test_shared_gl_samples_match_separate_grids():
         assert batched.tolist() == alone
 
 
-def test_mean_square_cache_holds_two_floats_per_chunk():
-    # two float64 arrays hold 16 bytes per chunk; Python lists of floats held 65.5
-    E_direct(2e4)  # warm: every lazy table and import is in place
+def test_mean_square_cache_holds_two_floats_per_chunk(estar_2e4):
+    # two float64 arrays hold 16 bytes per chunk; Python lists of floats held
+    # 65.5.  The session's scan to 2e4 has put every lazy table and import in place
     tracemalloc.start()
     try:
         ms = ZetaMeanSquare()
@@ -148,7 +186,7 @@ def test_quadrature_caps(call):
     lambda: ZetaMeanSquare(chunk=math.nan),
     lambda: ZetaMeanSquare(chunk=math.inf),
     lambda: ZetaMeanSquare().extend_to(math.nan),
-    lambda: ZetaMeanSquare().integral(math.inf),
+    lambda: E_direct(math.inf),
     lambda: E_direct(math.nan),
     lambda: E_grid(math.nan),
     lambda: E_grid(300.0, math.nan),
@@ -184,15 +222,14 @@ def one_call_integrator():
 
 
 @settings(max_examples=6)
-@given(st.lists(st.floats(0.0, 1300.0), min_size=1, max_size=4), st.floats(0.0, 1300.0))
-def test_integral_does_not_depend_on_extend_sequence(one_call_integrator, steps, T):
+@given(st.lists(st.floats(0.0, 1300.0), min_size=1, max_size=4))
+def test_integral_does_not_depend_on_extend_sequence(one_call_integrator, steps):
     # any sequence of extend_to calls, shrinking ones (no-ops) included,
-    # leaves the cache and integral(T) bit for bit as one call does; 1300 is
+    # leaves the cumulative integral bit for bit as one call does; 1300 is
     # past 4096 chunks of 0.25, so the sequence moves the group seams
     stepped = ZetaMeanSquare()
     for step in steps:
         stepped.extend_to(step)
-    assert stepped.integral(T) == one_call_integrator.integral(T)
     cum = stepped._cum
     assert cum.tobytes() == one_call_integrator._cum[:cum.size].tobytes()
 
@@ -432,6 +469,32 @@ def test_E_grid_matches_pointwise():
     assert err == ZetaMeanSquare().error_estimate(50.0)  # the audit estimate at tmax
     for idx in (40, 120, 200):
         assert abs(es[idx] - E_direct(float(ts[idx]))) < 1e-9
+
+
+def hafner_ivic_G(T: float, table) -> float:
+    """G(T) in Hafner & Ivic's integral_0^T E(t) dt = pi T + G(T) + O(T^(1/4))
+    (J. Number Theory 32, 1989), with the exact ar-sinh amplitude, cutoffs
+    N = T and N' = atkinson_n_prime(T, T)."""
+    n = np.arange(1, math.floor(T) + 1)
+    x = math.pi * n / (2.0 * T)
+    s1 = np.sum(np.where(n % 2 == 0, 1.0, -1.0) * table.values[n] * n ** -0.5
+                * np.arcsinh(np.sqrt(x)) ** -2 * (T / (TWO_PI * n) + 0.25) ** -0.25
+                * np.sin(atkinson_f(T, n)))
+    m = np.arange(1, math.floor(atkinson_n_prime(T, T)) + 1)
+    lg = np.log(T / (TWO_PI * m))
+    s2 = np.sum(table.values[m] * m ** -0.5 / lg ** 2 * np.sin(T * lg - T + math.pi / 4.0))
+    return float(2.0 ** -1.5 * s1 - 2.0 * s2)
+
+
+def test_hafner_ivic_integral_of_E(estar_2e4, table_small):
+    # the whole E grid against an explicit formula for its integral: a bias
+    # of 2e-3 in E moves the integral to 2e4 by 40, against a gate of 17.8
+    # there (residuals today -0.35 at 500 to -15.5 at 2e4, peak 1.31 T^(1/4))
+    es = estar_2e4.E
+    cum = np.concatenate([[0.0], np.cumsum((es[1:] + es[:-1]) * 0.125)])
+    for T in (500.0, 1e3, 2e3, 5e3, 1e4, 1.5e4, 2e4):
+        residual = cum[round(T / 0.25)] - math.pi * T - hafner_ivic_G(T, table_small)
+        assert abs(residual) <= 1.5 * T ** 0.25, (T, residual)
 
 
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
