@@ -25,6 +25,7 @@ slope estimator for empirical growth exponents.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -57,6 +58,11 @@ MOMENT_J_MIN = 4
 #: before anything is allocated: 2**24 points are 128 MiB per float64
 #: column, and at the default chunk 0.25 they reach t ~ 4.2e6.
 E_GRID_MAX_POINTS = 2**24
+
+#: Threads that integrate ``ZetaMeanSquare.extend_to``'s chunk groups, the
+#: calling thread included: the CPUs this process may run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 #: Gauss-Legendre nodes per panel; the audit re-integrates at twice as many.
 GL_NODES = 6
@@ -116,8 +122,9 @@ class ZetaMeanSquare:
     quadrature only: the integrand's own Riemann-Siegel error, at most
     0.053 t^(-5/4) per Z value, is not in it.  Extending from T1 to T2 only
     computes the new chunks, so one instance serves a whole scan.
-    Single-threaded by design (the ordered cumulative reduction); share
-    only after it is built.
+    Chunk groups are integrated concurrently and summed in chunk order, so
+    the bits do not depend on the thread count; do not share an instance
+    while it grows.
     """
 
     def __init__(self, chunk: float = 0.25):
@@ -132,9 +139,12 @@ class ZetaMeanSquare:
 
         Groups of up to 4096 new chunks take the panel count of their last
         chunk, which no chunk's own count exceeds (one panel for the default
-        chunk below t = 2 pi e^10 ~ 1.38e5).  Each call that grows the cache
-        allocates its two arrays once, at their new length; a cache of
-        ``E_GRID_MAX_POINTS`` chunks or more raises ResourceLimitError first.
+        chunk below t = 2 pi e^10 ~ 1.38e5).  The calling thread and
+        ``_WORKERS - 1`` helpers take groups from one shared iterator; then
+        one running sum adds the pieces in chunk order.  Each call that grows
+        the cache allocates its two arrays once, at their new length; a cache
+        of ``E_GRID_MAX_POINTS`` chunks or more raises ResourceLimitError
+        first.  If a group raises, the cache is left as it was.
         """
         if not math.isfinite(T):
             raise InvalidArgumentError(f"extend_to needs finite T, got {T!r}")
@@ -147,15 +157,39 @@ class ZetaMeanSquare:
             return
         cum, err = np.empty(need + 1), np.empty(need + 1)
         cum[:k + 1], err[:k + 1] = self._cum, self._err
-        while k < need:
-            k_end = min(need, k + 4096)
-            m = _panel_count(self.chunk, k_end * self.chunk)
-            vals, worst = _gl_pieces(self.chunk * np.arange(k, k_end), self.chunk, m,
-                                     zeta_abs2_grid)
-            # cumsum adds in sequence, as a running float sum would
-            cum[k + 1:k_end + 1] = np.cumsum(np.r_[cum[k], vals])[1:]
-            err[k + 1:k_end + 1] = err[k] + worst * np.arange(1, k_end - k + 1)
-            k = k_end
+        bounds = [*range(k, need, 4096), need]  # group g is chunks bounds[g]..bounds[g+1]
+        worst = np.empty(len(bounds) - 1)
+        groups = iter(range(worst.size))  # a range iterator's next() is atomic
+
+        def integrate() -> None:
+            try:
+                for g in groups:
+                    lo, hi = bounds[g], bounds[g + 1]
+                    m = _panel_count(self.chunk, hi * self.chunk)
+                    # each piece lands in its own slot; the running sum comes later
+                    cum[lo + 1:hi + 1], worst[g] = _gl_pieces(
+                        self.chunk * np.arange(lo, hi), self.chunk, m, zeta_abs2_grid)
+            except BaseException:
+                for _ in groups:  # the other threads stop at their next group
+                    pass
+                raise
+
+        helpers = min(_WORKERS, worst.size) - 1
+        if helpers > 0:
+            # imported here: its import (logging included) costs about 10 ms
+            # at start-up, which no other path of the package needs
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(helpers) as pool:
+                futures = [pool.submit(integrate) for _ in range(helpers)]
+                integrate()
+            for f in futures:
+                f.result()
+        else:
+            integrate()
+        # cumsum adds in sequence, as a running float sum would
+        np.cumsum(cum[k:], out=cum[k:])
+        for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            err[lo + 1:hi + 1] = err[lo] + worst[g] * np.arange(1, hi - lo + 1)
         self._cum, self._err = cum, err
 
     def error_estimate(self, T: float) -> float:
@@ -342,12 +376,17 @@ def E_balasubramanian(T: float) -> float:
 # ---------------------------------------------------------------------------
 
 def write_columns_csv(path, header: str, columns) -> None:
-    """CSV of equal-length float64 arrays, shortest round-trip repr, ``SUM_BLOCK`` rows a step."""
+    """CSV of equal-length float64 arrays, shortest round-trip repr, ``SUM_BLOCK`` rows a step.
+
+    Each block is formatted by one ``%`` over a row template; ``%r`` of a
+    float is its repr.
+    """
+    row = ",".join(["%r"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for lo in range(0, len(columns[0]), SUM_BLOCK):
-            cells = [map(repr, col[lo:lo + SUM_BLOCK].tolist()) for col in columns]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            cells = np.column_stack([col[lo:lo + SUM_BLOCK] for col in columns])
+            fh.write(row * len(cells) % tuple(cells.ravel().tolist()))
 
 
 @dataclass(eq=False)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,7 +13,8 @@ from zetadiv import (E_atkinson, E_balasubramanian, E_direct, E_grid,
                      ResourceLimitError, ZetaMeanSquare, delta_via_psi,
                      empirical_exponent, estar_scan, hyperbola_divisor_sum,
                      short_interval_ms, theta1, voronoi_delta)
-from zetadiv.divisor import main_term
+from zetadiv import error_terms
+from zetadiv.divisor import SUM_BLOCK, main_term
 from zetadiv.error_terms import (ATKINSON_A, ATKINSON_A_PRIME, _gl_pieces,
                                  _panel_count, atkinson_e, atkinson_f,
                                  atkinson_n_prime, moment_scan_from_samples,
@@ -232,6 +235,77 @@ def test_integral_does_not_depend_on_extend_sequence(one_call_integrator, steps)
         stepped.extend_to(step)
     cum = stepped._cum
     assert cum.tobytes() == one_call_integrator._cum[:cum.size].tobytes()
+
+
+def sequential_quadrature(chunk: float, steps) -> tuple[np.ndarray, np.ndarray]:
+    """The cache's two arrays after extend_to(T) for each T in steps, built
+    group by group in one thread with a Python running sum."""
+    cum, err = [0.0], [0.0]
+    for T in steps:
+        k, need = len(cum) - 1, math.ceil(T / chunk)
+        for lo in range(k, need, 4096):
+            hi = min(need, lo + 4096)
+            vals, worst = _gl_pieces(chunk * np.arange(lo, hi), chunk,
+                                     _panel_count(chunk, hi * chunk), zeta_abs2_grid)
+            for j, v in enumerate(vals.tolist(), 1):
+                cum.append(cum[-1] + v)
+                err.append(err[lo] + worst * j)
+    return np.array(cum), np.array(err)
+
+
+@pytest.mark.parametrize("chunk, steps", [
+    (0.25, [1300.0]),            # 5,200 chunks: two groups, across the seam at t = 200
+    (0.25, [500.0, 1300.0]),     # the second call starts from a cached prefix
+    (0.0625, [1300.0]),          # six groups, more than the threads
+])
+def test_worker_count_does_not_change_bits(monkeypatch, chunk, steps):
+    # groups are integrated in any order by any thread, then summed in chunk
+    # order: every worker count gives the single-threaded running sum's bits.
+    # A short switch interval interleaves the threads often; a group taken
+    # twice or skipped would leave a slot wrong
+    ref_cum, ref_err = sequential_quadrature(chunk, steps)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 3):
+            monkeypatch.setattr(error_terms, "_WORKERS", workers)
+            ms = ZetaMeanSquare(chunk)
+            for T in steps:
+                ms.extend_to(T)
+            assert ms._cum.tobytes() == ref_cum.tobytes(), workers
+            assert ms._err.tobytes() == ref_err.tobytes(), workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_failing_group_leaves_cache_unchanged(monkeypatch, workers):
+    # the cache holds [0, 200]; the new chunks form groups [800, 4896) and
+    # [4896, 5200).  In one thread the second group raises; with helpers the
+    # calling thread's group waits (at most 10 s) until the helper's group
+    # has raised, so the error comes from the helper thread
+    ms = ZetaMeanSquare()
+    ms.extend_to(200.0)
+    cum, err = ms._cum.tobytes(), ms._err.tobytes()
+    failed = threading.Event()
+
+    def failing(ts):
+        in_helper = threading.current_thread() is not threading.main_thread()
+        if in_helper or (workers == 1 and np.min(ts) >= 4896 * 0.25):
+            failed.set()
+            raise PrecisionError("group failed")
+        if workers > 1:
+            failed.wait(10.0)
+        return zeta_abs2_grid(ts)
+
+    monkeypatch.setattr(error_terms, "_WORKERS", workers)
+    monkeypatch.setattr(error_terms, "zeta_abs2_grid", failing)
+    threads = threading.active_count()
+    with pytest.raises(PrecisionError, match="group failed"):
+        ms.extend_to(1300.0)
+    assert failed.is_set()
+    assert threading.active_count() == threads
+    assert ms._cum.tobytes() == cum and ms._err.tobytes() == err
 
 
 def test_E_direct_validation():
@@ -497,16 +571,18 @@ def test_hafner_ivic_integral_of_E(estar_2e4, table_small):
         assert abs(residual) <= 1.5 * T ** 0.25, (T, residual)
 
 
-@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 2 * SUM_BLOCK + 1])
 def test_write_columns_csv_blocks_match_one_shot(tmp_path, rng, n):
     # rows on both sides of each 4096-row block seam, against the whole
-    # table formatted at once with Python's shortest round-trip repr
-    special = np.array([0.0, -0.0, 5e-324, -1e300, np.inf, -np.inf, np.nan, 0.1])
+    # table formatted row by row with Python's shortest round-trip repr;
+    # the specials include repr's switches to and from exponent notation
+    special = np.array([0.0, -0.0, 5e-324, -1e300, np.inf, -np.inf, np.nan, 0.1, 1e-05,
+                        9.999999999999999e-05, 1e16, 123456789012345.6])
     cols = (0.25 * np.arange(n), rng.standard_normal(n), np.resize(special, n))
     path = tmp_path / "cols.csv"
     write_columns_csv(path, "a,b,c", cols)
-    ref = "a,b,c\n" + "".join(",".join(repr(float(v)) for v in row) + "\n"
-                              for row in zip(*cols))
+    rows = zip(*(col.tolist() for col in cols))
+    ref = "a,b,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
     assert path.read_bytes() == ref.encode()
 
 
