@@ -77,6 +77,21 @@ def test_criterion_6_substance(subconvexity_arrays):
     assert slopes[2] < 0.10
 
 
+def test_subconvexity_scan_obeys_hiary_bound(subconvexity_arrays):
+    """The scan obeys a proven explicit subconvexity bound.
+
+    G. Hiary, "An explicit van der Corput estimate for zeta(1/2+it)", Indag.
+    Math. 27 (2016): |zeta(1/2+it)| <= 0.63 t^(1/6) log t for t >= 3.  The
+    running max run(t) of |zeta| t^(-1/6) bounds each scanned value, so
+    run(t)/log t bounds each |zeta| / (t^(1/6) log t); its largest value is
+    0.50688, at t = 45.5567, a margin of 1.24x.
+    """
+    ts, run = subconvexity_arrays
+    ratio = run / np.log(ts)
+    assert ts[0] >= 3.0
+    assert ratio.max() < 0.63, (ratio.max(), ts[ratio.argmax()])
+
+
 def test_criterion_7_moment_suite_full(monkeypatch, estar_2e4):
     # criterion_7 runs unchanged on the session's scan instead of building its own
     monkeypatch.setattr(acceptance, "estar_scan", lambda tmax, step: estar_2e4)

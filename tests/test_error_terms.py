@@ -1,6 +1,8 @@
 import math
+import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -571,14 +573,16 @@ def test_hafner_ivic_integral_of_E(estar_2e4, table_small):
         assert abs(residual) <= 1.5 * T ** 0.25, (T, residual)
 
 
+#: CSV cells where repr switches to and from exponent notation, and the non-finite ones
+CSV_SPECIALS = np.array([0.0, -0.0, 5e-324, -1e300, np.inf, -np.inf, np.nan, 0.1, 1e-05,
+                         9.999999999999999e-05, 1e16, 123456789012345.6])
+
+
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 2 * SUM_BLOCK + 1])
 def test_write_columns_csv_blocks_match_one_shot(tmp_path, rng, n):
     # rows on both sides of each 4096-row block seam, against the whole
-    # table formatted row by row with Python's shortest round-trip repr;
-    # the specials include repr's switches to and from exponent notation
-    special = np.array([0.0, -0.0, 5e-324, -1e300, np.inf, -np.inf, np.nan, 0.1, 1e-05,
-                        9.999999999999999e-05, 1e16, 123456789012345.6])
-    cols = (0.25 * np.arange(n), rng.standard_normal(n), np.resize(special, n))
+    # table formatted row by row with Python's shortest round-trip repr
+    cols = (0.25 * np.arange(n), rng.standard_normal(n), np.resize(CSV_SPECIALS, n))
     path = tmp_path / "cols.csv"
     write_columns_csv(path, "a,b,c", cols)
     rows = zip(*(col.tolist() for col in cols))
@@ -595,3 +599,82 @@ def test_write_columns_csv_in_bounded_memory(tmp_path, rng, traced_peak):
     assert peak < 2 * 2**20, peak
     with open(path) as fh:
         assert sum(1 for _ in fh) == 80_002
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids of the processes os.fork starts during the test, as a list."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4096, 4097, 3 * SUM_BLOCK + 5])
+def test_write_columns_csv_worker_count_does_not_change_bytes(monkeypatch, tmp_path, rng, forks,
+                                                             n):
+    # with three workers the caller formats every third block and two forked
+    # workers the rest; the caller writes them in block order, and every
+    # worker has been reaped when the call returns
+    cols = (0.25 * np.arange(n), rng.standard_normal(n), np.resize(CSV_SPECIALS, n))
+    out = {}
+    for workers in (1, 3):
+        monkeypatch.setattr(error_terms, "_WORKERS", workers)
+        path = tmp_path / f"w{workers}.csv"
+        write_columns_csv(path, "a,b,c", cols)
+        out[workers] = path.read_bytes()
+        assert len(forks) == max(min(workers, -(-n // SUM_BLOCK)) - 1, 0)
+        assert_reaped(forks)
+    assert out[3] == out[1]
+
+
+@pytest.mark.parametrize("failure, error", [("raise", PrecisionError),
+                                            ("exit", ChildProcessError),
+                                            ("hang", PrecisionError)])
+def test_failing_csv_worker_raises_and_leaves_no_child(monkeypatch, tmp_path, forks,
+                                                       failure, error):
+    # a worker's exception comes back pickled; a worker that dies without a
+    # word is an end of file where its block should be.  The caller raises
+    # at block 1 and kills the other worker (in the "hang" case one that
+    # would sleep for 30 s over block 2), so no worker outlives the call
+    caller, block = os.getpid(), error_terms._csv_block
+
+    def failing(columns, row, lo):
+        if os.getpid() != caller:
+            if failure == "exit":
+                os._exit(3)
+            if failure == "hang" and lo == 2 * SUM_BLOCK:
+                time.sleep(30.0)
+            raise PrecisionError("block failed")
+        return block(columns, row, lo)
+
+    monkeypatch.setattr(error_terms, "_WORKERS", 3)
+    monkeypatch.setattr(error_terms, "_csv_block", failing)
+    start = time.monotonic()
+    with pytest.raises(error):
+        write_columns_csv(tmp_path / "x.csv", "a", (np.arange(3 * SUM_BLOCK + 5.0),))
+    assert time.monotonic() - start < 10.0
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("lengths", [(4096, 5000), (5000, 4097)])
+def test_write_columns_csv_refuses_unequal_columns(tmp_path, lengths):
+    # before, (4096, 5000) silently dropped 904 values and (5000, 4097)
+    # raised after 4096 rows, leaving a partial file
+    path = tmp_path / "x.csv"
+    with pytest.raises(InvalidArgumentError, match="equal lengths"):
+        write_columns_csv(path, "a,b", tuple(np.zeros(n) for n in lengths))
+    assert not path.exists()

@@ -214,6 +214,18 @@ def test_triple_normalisation_is_canonical(kappa, lam, m):
     assert _triple(Fraction(m * a, m * c), Fraction(m * b, m * c)) == t
 
 
+def test_search_stays_above_rankins_constant():
+    # over the A/B processes alone, the best theta for the divisor problem
+    # falls toward Rankin's constant 0.3290213568... from above (S. W. Graham
+    # & G. Kolesnik, "Van der Corput's Method of Exponential Sums", LMS
+    # Lecture Notes 126, 1991, ch. 5); depth 16 reaches 0.3290213723.  best
+    # is the least theta over every word up to depth 16, so no shallower
+    # pair goes below either.  Eight digits leave a margin for the recalled
+    # constant
+    best = search_optimal(16).best
+    assert Fraction("0.32902135") < best.theta_div < Fraction("0.32902138")
+
+
 def test_search_depth16_golden(tmp_path):
     res = search_optimal(16)
     assert res.explored == 8363
