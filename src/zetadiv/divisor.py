@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
+import mmap
 import os
 import struct
 import uuid
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _workers
 from .errors import (CacheError, InvalidArgumentError, OutOfRangeError, PrecisionError,
                      ResourceLimitError)
 
@@ -117,6 +119,36 @@ class DivisorTable:
         return np.cumsum(out, out=out)
 
 
+def _sieve_segments(values: np.ndarray, segments) -> None:
+    """Add every divisor pair's count to values[lo:hi] for each segment (lo, hi)."""
+    for lo, hi in segments:
+        seg = values[lo:hi]
+        for d in range(1, math.isqrt(hi - 1) + 1):
+            sq = d * d
+            if sq >= lo:
+                seg[sq - lo] += 1
+                seg[sq - lo + d::d] += 2
+            elif (first := -lo % d) < hi - lo:
+                seg[first::d] += 2
+
+
+def _deal_segments(segments, workers: int) -> list[list[tuple[int, int]]]:
+    """Deal the segments to ``workers`` shares of about equal d-passes.
+
+    Segment (lo, hi) runs isqrt(hi - 1) passes, so from the last segment
+    back each goes to the share with the fewest passes so far.  At 1e7 the
+    two shares run 11,600 and 11,329 of the 22,929 passes (12,062 and 10,867
+    when they alternate).
+    """
+    shares = [[] for _ in range(workers)]
+    passes = [0] * workers
+    for lo, hi in reversed(segments):
+        w = passes.index(min(passes))
+        shares[w].append((lo, hi))
+        passes[w] += math.isqrt(hi - 1)
+    return shares
+
+
 def sieve_divisors(limit: int) -> DivisorTable:
     """Sieve d(n) for 1 <= n <= limit.
 
@@ -126,6 +158,12 @@ def sieve_divisors(limit: int) -> DivisorTable:
     per fixed-length segment (``DEFAULT_SEGMENT`` entries, cache-sized) so
     the write working set stays in cache; the output array itself is
     allocated in full (uint16, 2 bytes per entry), up to ``MAX_SIEVE_LIMIT``.
+
+    From two full segments up, where ``os.fork`` exists, the segments are
+    dealt to up to ``_workers.WORKERS`` processes: the caller and forked
+    workers, which write into one shared anonymous mapping that becomes
+    the table.  Each entry is written by one process only, so the table
+    is the same at any worker count.
     """
     if not 1 <= limit < math.inf:
         raise InvalidArgumentError(f"sieve limit must be finite and >= 1, got {limit}")
@@ -135,17 +173,19 @@ def sieve_divisors(limit: int) -> DivisorTable:
             f"sieve limit {limit} exceeds cap {MAX_SIEVE_LIMIT} "
             f"(~{2 * (MAX_SIEVE_LIMIT + 1) / 2**30:.1f} GiB of table)")
 
-    values = np.zeros(limit + 1, dtype=np.uint16)
-    for lo in range(1, limit + 1, DEFAULT_SEGMENT):
-        hi = min(lo + DEFAULT_SEGMENT, limit + 1)
-        seg = values[lo:hi]
-        for d in range(1, math.isqrt(hi - 1) + 1):
-            sq = d * d
-            if sq >= lo:
-                seg[sq - lo] += 1
-                seg[sq - lo + d::d] += 2
-            elif (first := -lo % d) < hi - lo:
-                seg[first::d] += 2
+    segments = [(lo, min(lo + DEFAULT_SEGMENT, limit + 1))
+                for lo in range(1, limit + 1, DEFAULT_SEGMENT)]
+    workers = min(_workers.WORKERS, len(segments)) if hasattr(os, "fork") else 1
+    if limit < 2 * DEFAULT_SEGMENT or workers < 2:
+        values = np.zeros(limit + 1, dtype=np.uint16)
+        _sieve_segments(values, segments)
+    else:
+        values = np.frombuffer(mmap.mmap(-1, 2 * (limit + 1)), dtype="<u2")
+        own, *others = _deal_segments(segments, workers)
+        with _workers.Forked() as forked:
+            for share in others:
+                forked.start(_sieve_segments, values, share)
+            _sieve_segments(values, own)
     values.setflags(write=False)
     return DivisorTable(limit=limit, values=values)
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _workers
 from .divisor import (MAX_SIEVE_LIMIT, SUM_BLOCK, DivisorTable, block_sum, delta_star_grid,
                       main_term, sieve_divisors)
 from .errors import (InvalidArgumentError, OutOfRangeError, PrecisionError,
@@ -60,12 +61,6 @@ MOMENT_J_MIN = 4
 #: before anything is allocated: 2**24 points are 128 MiB per float64
 #: column, and at the default chunk 0.25 they reach t ~ 4.2e6.
 E_GRID_MAX_POINTS = 2**24
-
-#: Threads that integrate ``ZetaMeanSquare.extend_to``'s chunk groups, the
-#: calling thread included, and most forked processes that format
-#: ``write_columns_csv``'s blocks: the CPUs this process may run on.
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 
 #: Gauss-Legendre nodes per panel; the audit re-integrates at twice as many.
 GL_NODES = 6
@@ -143,11 +138,12 @@ class ZetaMeanSquare:
         Groups of up to 4096 new chunks take the panel count of their last
         chunk, which no chunk's own count exceeds (one panel for the default
         chunk below t = 2 pi e^10 ~ 1.38e5).  The calling thread and
-        ``_WORKERS - 1`` helpers take groups from one shared iterator; then
-        one running sum adds the pieces in chunk order.  Each call that grows
-        the cache allocates its two arrays once, at their new length; a cache
-        of ``E_GRID_MAX_POINTS`` chunks or more raises ResourceLimitError
-        first.  If a group raises, the cache is left as it was.
+        ``_workers.WORKERS - 1`` helpers, each moved to the CPUs beside the
+        caller's, take groups from one shared iterator; then one running sum
+        adds the pieces in chunk order.  Each call that grows the cache
+        allocates its two arrays once, at their new length; a cache of
+        ``E_GRID_MAX_POINTS`` chunks or more raises ResourceLimitError first.
+        If a group raises, the cache is left as it was.
         """
         if not math.isfinite(T):
             raise InvalidArgumentError(f"extend_to needs finite T, got {T!r}")
@@ -164,8 +160,9 @@ class ZetaMeanSquare:
         worst = np.empty(len(bounds) - 1)
         groups = iter(range(worst.size))  # a range iterator's next() is atomic
 
-        def integrate() -> None:
+        def integrate(cpus=()) -> None:
             try:
+                _workers.move_to(cpus)
                 for g in groups:
                     lo, hi = bounds[g], bounds[g + 1]
                     m = _panel_count(self.chunk, hi * self.chunk)
@@ -177,13 +174,14 @@ class ZetaMeanSquare:
                     pass
                 raise
 
-        helpers = min(_WORKERS, worst.size) - 1
+        helpers = min(_workers.WORKERS, worst.size) - 1
         if helpers > 0:
             # imported here: its import (logging included) costs about 10 ms
             # at start-up, which no other path of the package needs
             from concurrent.futures import ThreadPoolExecutor
+            cpus = _workers.cpus_beside_caller()
             with ThreadPoolExecutor(helpers) as pool:
-                futures = [pool.submit(integrate) for _ in range(helpers)]
+                futures = [pool.submit(integrate, cpus) for _ in range(helpers)]
                 integrate()
             for f in futures:
                 f.result()
@@ -284,6 +282,17 @@ def atkinson_cutoffs(T: float, N: float | None = None) -> tuple[float, float, in
     return N, n_prime, max(math.floor(N), math.floor(n_prime), 1)
 
 
+def _atkinson_parts(T, n):
+    """Amplitude and phase of sigma1's n-th term, from one x = pi n/(2T),
+    sqrt(x) and arsinh(sqrt(x)); ``atkinson_e`` and ``atkinson_f`` are its parts."""
+    n = np.asarray(n, dtype=float)
+    x = math.pi * n / (2.0 * T)
+    rx = np.sqrt(x)
+    ash = np.arcsinh(rx)
+    return ((1.0 + x) ** (-0.25) * rx / ash,
+            2.0 * T * ash + np.sqrt(TWO_PI * n * T + (math.pi * n) ** 2) - math.pi / 4.0)
+
+
 def atkinson_f(T, n):
     """Exact phase 2 T arsinh(sqrt(pi n/(2T))) + sqrt(2 pi n T + pi^2 n^2) - pi/4.
 
@@ -291,10 +300,7 @@ def atkinson_f(T, n):
     n^{3/2} T^{-1/2} + ...; the closed form is used everywhere, the
     expansion only in tests.
     """
-    n = np.asarray(n, dtype=float)
-    x = math.pi * n / (2.0 * T)
-    return (2.0 * T * np.arcsinh(np.sqrt(x))
-            + np.sqrt(TWO_PI * n * T + (math.pi * n) ** 2) - math.pi / 4.0)
+    return _atkinson_parts(T, n)[1]
 
 
 def atkinson_e(T, n):
@@ -303,10 +309,7 @@ def atkinson_e(T, n):
     Equals 1 + O(n/T); evaluated as sqrt(x)/arsinh(sqrt(x)) against the
     quarter-power factor, which is stable down to n/T -> 0.
     """
-    n = np.asarray(n, dtype=float)
-    x = math.pi * n / (2.0 * T)
-    rx = np.sqrt(x)
-    return (1.0 + x) ** (-0.25) * rx / np.arcsinh(rx)
+    return _atkinson_parts(T, n)[0]
 
 
 def E_atkinson(T: float, N: float | None = None, *, table: DivisorTable) -> AtkinsonEval:
@@ -324,7 +327,8 @@ def E_atkinson(T: float, N: float | None = None, *, table: DivisorTable) -> Atki
     def sigma1_terms(n):
         sign = np.where(n % 2 == 0, 1.0, -1.0)
         d = table.values[n].astype(np.float64)
-        return sign * d * n ** (-0.75) * atkinson_e(T, n) * np.cos(atkinson_f(T, n))
+        amplitude, phase = _atkinson_parts(T, n)
+        return sign * d * n ** (-0.75) * amplitude * np.cos(phase)
 
     def sigma2_terms(n):
         lg = np.log(T / (TWO_PI * n))
@@ -391,41 +395,19 @@ def _csv_block(columns, row: str, lo: int) -> bytes:
 _PIPE_BYTES = 2**20
 
 
-def _cpus_beside_caller() -> set[int]:
-    """The CPUs this process may use but the one it is on; empty where /proc cannot tell."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            cpu = int(fh.read().rsplit(b")", 1)[1].split()[36])  # field 39, the CPU
-    except (OSError, ValueError, IndexError):
-        return set()
-    return os.sched_getaffinity(0) - {cpu}
-
-
-def _csv_worker(out: int, readers, cpus, columns, row: str, starts) -> None:
+def _csv_worker(out: int, readers, columns, row: str, starts) -> None:
     """Body of a forked CSV worker: pickle each block down the pipe ``out``.
 
-    The worker first moves to ``cpus``, if any: a forked process starts on
-    its parent's CPU, and a kernel that does not balance load (a cpuset
-    with ``sched_load_balance`` 0) leaves it there.  A block that raises
-    sends the exception instead.  The worker never returns: it ends in
-    ``os._exit``, so it flushes no inherited buffer and runs no clean-up of
-    its parent's.
+    A block that raises sends the exception instead.
     """
-    code = 1
-    try:
-        if cpus:
-            os.sched_setaffinity(0, cpus)
-        for reader in readers:  # the parent's read ends, this worker's own included
-            reader.close()
-        with open(out, "wb") as pipe:
-            try:
-                for lo in starts:
-                    pickle.dump(_csv_block(columns, row, lo), pipe)
-            except Exception as exc:
-                pickle.dump(exc, pipe)
-        code = 0
-    finally:
-        os._exit(code)
+    for reader in readers:  # the parent's read ends, this worker's own included
+        reader.close()
+    with open(out, "wb") as pipe:
+        try:
+            for lo in starts:
+                pickle.dump(_csv_block(columns, row, lo), pipe)
+        except Exception as exc:
+            pickle.dump(exc, pipe)
 
 
 def _write_forked(fh, columns, row: str, starts, workers: int) -> None:
@@ -441,43 +423,34 @@ def _write_forked(fh, columns, row: str, starts, workers: int) -> None:
     """
     import fcntl  # only this path needs it
     grow = getattr(fcntl, "F_SETPIPE_SZ", None)  # Linux
-    pids, readers = [], []  # worker w's pid and read end at index w - 1
-    cpus = _cpus_beside_caller()
+    readers = []  # worker w's read end at index w - 1
     try:
-        for w in range(1, workers):
-            r, out = os.pipe()
-            readers.append(open(r, "rb"))
-            try:
-                if grow is not None:
-                    with contextlib.suppress(OSError):  # above pipe-max-size: the default
-                        fcntl.fcntl(out, grow, _PIPE_BYTES)
-                pid = os.fork()
-                if pid == 0:
-                    _csv_worker(out, readers, cpus, columns, row, starts[w::workers])
-                pids.append(pid)
-            finally:
-                os.close(out)
-        for b, lo in enumerate(starts):
-            if b % workers == 0:
-                fh.write(_csv_block(columns, row, lo))
-                continue
-            try:
-                block = pickle.load(readers[b % workers - 1])
-            except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError(f"a CSV worker ended before sending block {b}") from None
-            if isinstance(block, BaseException):
-                raise block
-            fh.write(block)
-    except BaseException:
-        import signal  # only this path needs it
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
+        with _workers.Forked() as forked:
+            for w in range(1, workers):
+                r, out = os.pipe()
+                readers.append(open(r, "rb"))
+                try:
+                    if grow is not None:
+                        with contextlib.suppress(OSError):  # above pipe-max-size: the default
+                            fcntl.fcntl(out, grow, _PIPE_BYTES)
+                    forked.start(_csv_worker, out, readers, columns, row, starts[w::workers])
+                finally:
+                    os.close(out)
+            for b, lo in enumerate(starts):
+                if b % workers == 0:
+                    fh.write(_csv_block(columns, row, lo))
+                    continue
+                try:
+                    block = pickle.load(readers[b % workers - 1])
+                except (EOFError, pickle.UnpicklingError):
+                    raise ChildProcessError(
+                        f"a CSV worker ended before sending block {b}") from None
+                if isinstance(block, BaseException):
+                    raise block
+                fh.write(block)
     finally:
         for reader in readers:
             reader.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
 
 
 def write_columns_csv(path, header: str, columns) -> None:
@@ -485,7 +458,7 @@ def write_columns_csv(path, header: str, columns) -> None:
 
     Each block is formatted by one ``%`` over a row template; ``%r`` of a
     float is its repr.  A table of more than one block is formatted by up
-    to ``_WORKERS`` forked processes where ``os.fork`` exists, and the
+    to ``_workers.WORKERS`` forked processes where ``os.fork`` exists, and the
     caller writes the blocks in order, so the bytes do not depend on the
     worker count.  Columns of unequal length raise InvalidArgumentError
     before the file is opened.
@@ -496,7 +469,7 @@ def write_columns_csv(path, header: str, columns) -> None:
             f"columns must have equal lengths, got {[len(col) for col in columns]}")
     row = ",".join(["%r"] * len(columns)) + "\n"
     starts = range(0, n, SUM_BLOCK)
-    workers = min(_WORKERS, len(starts)) if hasattr(os, "fork") else 1
+    workers = min(_workers.WORKERS, len(starts)) if hasattr(os, "fork") else 1
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
         if workers > 1:

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -53,3 +54,28 @@ def traced_peak():
             tracemalloc.stop()
         return out, peak
     return run
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids of the processes os.fork starts during the test, as a list."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+@pytest.fixture()
+def assert_reaped():
+    """A check that each pid is no longer a child of this process: it has been reaped."""
+    def check(pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+    return check

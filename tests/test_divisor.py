@@ -1,6 +1,8 @@
 import hashlib
 import math
+import os
 import struct
+import time
 from decimal import Decimal, localcontext
 from unittest import mock
 
@@ -14,7 +16,7 @@ from zetadiv import (EULER_GAMMA, CacheError, InvalidArgumentError, OutOfRangeEr
                      delta_star_alternating, delta_star_grid, delta_via_psi, divisor_sum,
                      hyperbola_divisor_sum, load_table, main_term, psi, save_table,
                      sieve_divisors)
-from zetadiv import divisor
+from zetadiv import _workers, divisor
 from zetadiv.divisor import (DEFAULT_SEGMENT, HYPERBOLA_X_CAP, PREFIX_BLOCK, SUM_BLOCK,
                              _signed_sums, block_sum)
 
@@ -160,6 +162,73 @@ def test_segmented_matches_single_segment(table_big, limit, seam, offset):
 def test_table_values_read_only(table_small):
     with pytest.raises(ValueError):
         table_small.values[5] = 99
+
+
+#: sha256 of sieve_divisors(10**7).values, as the one-process sieve writes them.
+TABLE_1E7_SHA256 = "dc0b6a45e3073677041e51b9972469a418d24e9a0f85bb38b08f5d20d72f4297"
+
+
+@pytest.mark.parametrize("limit", [DEFAULT_SEGMENT - 1, DEFAULT_SEGMENT, DEFAULT_SEGMENT + 1,
+                                   2 * DEFAULT_SEGMENT + 5, 10**7])
+def test_worker_count_does_not_change_table(monkeypatch, forks, assert_reaped, limit):
+    # below two full segments the sieve stays in the caller; above, the caller
+    # and min(workers, segments) - 1 forked workers each sieve their share
+    # into one shared mapping, all reaped when the call returns
+    segments = -(-limit // DEFAULT_SEGMENT)
+    tables = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_workers, "WORKERS", workers)
+        del forks[:]
+        table = sieve_divisors(limit)
+        tables[workers] = table.values.tobytes()
+        assert table.values.dtype == np.uint16 and table.values.size == limit + 1
+        with pytest.raises(ValueError):
+            table.values[limit] = 0
+        assert len(forks) == (min(workers, segments) - 1 if limit >= 2 * DEFAULT_SEGMENT else 0)
+        assert_reaped(forks)
+    assert tables[2] == tables[1] and tables[3] == tables[1]
+    if limit == 10**7:
+        assert hashlib.sha256(tables[1]).hexdigest() == TABLE_1E7_SHA256
+
+
+def test_sieve_without_fork_stays_in_the_caller(monkeypatch, forks):
+    monkeypatch.setattr(_workers, "WORKERS", 3)
+    ref = sieve_divisors(2 * DEFAULT_SEGMENT + 5).values
+    assert len(forks) == 2
+    monkeypatch.delattr(os, "fork")
+    assert np.array_equal(sieve_divisors(2 * DEFAULT_SEGMENT + 5).values, ref)
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("failure, error", [("exit", ChildProcessError),
+                                            ("raise", ChildProcessError),
+                                            ("caller", PrecisionError)])
+def test_failing_sieve_worker_raises_and_leaves_no_child(monkeypatch, forks, assert_reaped,
+                                                         failure, error):
+    # a worker that dies, by os._exit(3) or by an exception, fails the call
+    # once the caller has sieved its own share; a caller that raises kills
+    # its workers (here sleeping 30 s each) before it re-raises
+    caller, sieve = os.getpid(), divisor._sieve_segments
+
+    def failing(values, segments):
+        if os.getpid() != caller:
+            if failure == "exit":
+                os._exit(3)
+            if failure == "caller":
+                time.sleep(30.0)
+            raise PrecisionError("segment failed")
+        if failure == "caller":
+            raise PrecisionError("segment failed")
+        sieve(values, segments)
+
+    monkeypatch.setattr(_workers, "WORKERS", 3)
+    monkeypatch.setattr(divisor, "_sieve_segments", failing)
+    start = time.monotonic()
+    with pytest.raises(error):
+        sieve_divisors(3 * DEFAULT_SEGMENT)
+    assert time.monotonic() - start < 10.0
+    assert len(forks) == 2
+    assert_reaped(forks)
 
 
 def test_divisor_sum_brute_force(table_small):

@@ -15,7 +15,7 @@ from zetadiv import (E_atkinson, E_balasubramanian, E_direct, E_grid,
                      ResourceLimitError, ZetaMeanSquare, delta_via_psi,
                      empirical_exponent, estar_scan, hyperbola_divisor_sum,
                      short_interval_ms, theta1, voronoi_delta)
-from zetadiv import error_terms
+from zetadiv import _workers, error_terms
 from zetadiv.divisor import SUM_BLOCK, main_term
 from zetadiv.error_terms import (ATKINSON_A, ATKINSON_A_PRIME, _gl_pieces,
                                  _panel_count, atkinson_e, atkinson_f,
@@ -270,7 +270,7 @@ def test_worker_count_does_not_change_bits(monkeypatch, chunk, steps):
     sys.setswitchinterval(1e-5)
     try:
         for workers in (1, 3):
-            monkeypatch.setattr(error_terms, "_WORKERS", workers)
+            monkeypatch.setattr(_workers, "WORKERS", workers)
             ms = ZetaMeanSquare(chunk)
             for T in steps:
                 ms.extend_to(T)
@@ -300,7 +300,7 @@ def test_failing_group_leaves_cache_unchanged(monkeypatch, workers):
             failed.wait(10.0)
         return zeta_abs2_grid(ts)
 
-    monkeypatch.setattr(error_terms, "_WORKERS", workers)
+    monkeypatch.setattr(_workers, "WORKERS", workers)
     monkeypatch.setattr(error_terms, "zeta_abs2_grid", failing)
     threads = threading.active_count()
     with pytest.raises(PrecisionError, match="group failed"):
@@ -308,6 +308,27 @@ def test_failing_group_leaves_cache_unchanged(monkeypatch, workers):
     assert failed.is_set()
     assert threading.active_count() == threads
     assert ms._cum.tobytes() == cum and ms._err.tobytes() == err
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_helper_threads_move_beside_the_caller(monkeypatch):
+    # each helper pins itself, not the process: the calling thread's CPUs
+    # stay as they were
+    caller_cpus = os.sched_getaffinity(0)
+    target = {min(caller_cpus)}
+    seen = set()
+
+    def recording(ts):
+        if threading.current_thread() is not threading.main_thread():
+            seen.add(frozenset(os.sched_getaffinity(0)))
+        return zeta_abs2_grid(ts)
+
+    monkeypatch.setattr(_workers, "WORKERS", 3)
+    monkeypatch.setattr(_workers, "cpus_beside_caller", lambda: target)
+    monkeypatch.setattr(error_terms, "zeta_abs2_grid", recording)
+    ZetaMeanSquare(0.0625).extend_to(1300.0)
+    assert seen == {frozenset(target)}
+    assert os.sched_getaffinity(0) == caller_cpus
 
 
 def test_E_direct_validation():
@@ -327,6 +348,13 @@ def test_atkinson_phase_expansion():
     predicted = math.sqrt(2 * math.pi**3) * n**1.5 / (6.0 * math.sqrt(T))
     diff = float(atkinson_f(T, n)) - lead
     assert 0.5 * predicted <= diff <= 2.0 * predicted
+
+
+def test_atkinson_bits_pinned(table_big):
+    # amplitude and phase share one x, sqrt(x) and arsinh(sqrt(x)); the
+    # values are those of the two factors formed separately
+    assert E_atkinson(1e6, table=table_big).value == -102.1173340795893
+    assert E_atkinson(12345.6, table=table_big).value == 36.18446391597601
 
 
 def test_atkinson_cutoffs(table_small):
@@ -601,37 +629,16 @@ def test_write_columns_csv_in_bounded_memory(tmp_path, rng, traced_peak):
         assert sum(1 for _ in fh) == 80_002
 
 
-@pytest.fixture()
-def forks(monkeypatch):
-    """The pids of the processes os.fork starts during the test, as a list."""
-    pids, fork = [], os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 @pytest.mark.parametrize("n", [0, 1, 4096, 4097, 3 * SUM_BLOCK + 5])
 def test_write_columns_csv_worker_count_does_not_change_bytes(monkeypatch, tmp_path, rng, forks,
-                                                             n):
+                                                             assert_reaped, n):
     # with three workers the caller formats every third block and two forked
     # workers the rest; the caller writes them in block order, and every
     # worker has been reaped when the call returns
     cols = (0.25 * np.arange(n), rng.standard_normal(n), np.resize(CSV_SPECIALS, n))
     out = {}
     for workers in (1, 3):
-        monkeypatch.setattr(error_terms, "_WORKERS", workers)
+        monkeypatch.setattr(_workers, "WORKERS", workers)
         path = tmp_path / f"w{workers}.csv"
         write_columns_csv(path, "a,b,c", cols)
         out[workers] = path.read_bytes()
@@ -644,7 +651,7 @@ def test_write_columns_csv_worker_count_does_not_change_bytes(monkeypatch, tmp_p
                                             ("exit", ChildProcessError),
                                             ("hang", PrecisionError)])
 def test_failing_csv_worker_raises_and_leaves_no_child(monkeypatch, tmp_path, forks,
-                                                       failure, error):
+                                                       assert_reaped, failure, error):
     # a worker's exception comes back pickled; a worker that dies without a
     # word is an end of file where its block should be.  The caller raises
     # at block 1 and kills the other worker (in the "hang" case one that
@@ -660,7 +667,7 @@ def test_failing_csv_worker_raises_and_leaves_no_child(monkeypatch, tmp_path, fo
             raise PrecisionError("block failed")
         return block(columns, row, lo)
 
-    monkeypatch.setattr(error_terms, "_WORKERS", 3)
+    monkeypatch.setattr(_workers, "WORKERS", 3)
     monkeypatch.setattr(error_terms, "_csv_block", failing)
     start = time.monotonic()
     with pytest.raises(error):
