@@ -14,7 +14,12 @@ computed here by
                           weighted oscillating sums with exact ar-sinh
                           phase and amplitude factors, remainder O(log^2 T);
 * ``E_balasubramanian`` - the double-sum explicit formula driven by the
-                          Riemann-Siegel main sum, remainder O(log^2 T).
+                          Riemann-Siegel main sum, remainder O(log^2 T):
+                          4K sines and cosines by angle addition, its
+                          K^2/2 pairs' multiply-adds in row tiles, O(K)
+                          memory, every phase reduced mod 2 pi exactly, so
+                          the error left comes from the rounding of log n
+                          and theta1 (carried to 2.5e-18 relative).
 
 On top of E sit the hybrid remainder E*(t) = E(t) - 2 pi delta*(t/(2 pi)),
 its moment scans (k = 2, 4, 5 against the T^{4/3} log^3 T, T^{16/9}, T^2
@@ -38,7 +43,7 @@ from .divisor import (MAX_SIEVE_LIMIT, SUM_BLOCK, DivisorTable, block_sum, delta
                       main_term, sieve_divisors)
 from .errors import (InvalidArgumentError, OutOfRangeError, PrecisionError,
                      PrecisionWarning, ResourceLimitError)
-from .zeta import SCAN_RS_MIN_T, TWO_PI, rs_term_count, theta1, zeta_abs2_grid
+from .zeta import SCAN_RS_MIN_T, TWO_PI, rs_term_count, zeta_abs2_grid
 
 #: Atkinson cutoff window: the formula needs A*T < N < A'*T for fixed
 #: 0 < A < A'; these are the configured constants (N defaults to T).
@@ -325,7 +330,7 @@ def E_atkinson(T: float, N: float | None = None, *, table: DivisorTable) -> Atki
         raise OutOfRangeError(f"divisor table limit {table.limit} < required {need}")
 
     def sigma1_terms(n):
-        sign = np.where(n % 2 == 0, 1.0, -1.0)
+        sign = 1.0 - 2.0 * (n & 1)
         d = table.values[n].astype(np.float64)
         amplitude, phase = _atkinson_parts(T, n)
         return sign * d * n ** (-0.75) * amplitude * np.cos(phase)
@@ -346,15 +351,93 @@ def E_atkinson(T: float, N: float | None = None, *, table: DivisorTable) -> Atki
 # Balasubramanian's explicit formula
 # ---------------------------------------------------------------------------
 
+#: 2 pi as a hi/lo pair: _TWO_PI_LO = 2 pi - fl(2 pi).
+_TWO_PI_LO = 2.4492935982947064e-16
+#: ln 2 in Cody and Waite's two parts: k * _LN2_HI is exact for |k| < 2**20.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+#: log(2 pi) as a hi/lo pair.
+_LOG_TWO_PI_HI, _LOG_TWO_PI_LO = 1.8378770664093453, 1.4447872176368647e-16
+#: 1/k! for k = 15 down to 3: expm1(z) - z - z^2/2 = z^3 polyval(_EXPM1_TAIL, z),
+#: to within 1e-19 for |z| <= 0.35.
+_EXPM1_TAIL = 1.0 / np.array([math.factorial(k) for k in range(15, 2, -1)], dtype=float)
+
+#: Most (m, n) pairs one row tile of ``E_balasubramanian`` spans (128 KiB
+#: per float64 temporary).
+_BALASU_TILE_PAIRS = 2**14
+
+
+def _split(a):
+    """Veltkamp split: a = hi + lo exactly, each with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """Dekker's two-product: a*b = p + e exactly, p = fl(a*b)."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _mod_two_pi(p, e):
+    """(p + e) mod 2 pi in about [-pi, pi], for p + e exact and |e| <= ulp(p).
+
+    k*fl(2 pi) is formed exactly and p - fl(k*fl(2 pi)) is exact (Sterbenz),
+    so the only rounding is that of the small remainder.
+    """
+    k = np.rint(p / TWO_PI)
+    q, qe = _two_product(k, TWO_PI)
+    return (p - q) + ((e - qe) - k * _TWO_PI_LO)
+
+
+def _log1p_hi_lo(y):
+    """log1p(y) = hi + lo for |y| <= 0.42, hi = fl(log1p(y)) and lo to 2.5e-18.
+
+    One Newton step: lo = -(expm1(hi) - y) / (1 + y), where (hi - y) +
+    hi^2/2 is exact (Sterbenz, twice; hi^2 by the two-product) and only the
+    tail hi^3/6 + hi^4/24 + ... (below 0.0075) is rounded.
+    """
+    hi = np.log1p(y)
+    p2, e2 = _two_product(hi, hi)
+    tail = hi ** 3 * np.polyval(_EXPM1_TAIL, hi)
+    return hi, -(((hi - y) + 0.5 * p2) + (0.5 * e2 + tail)) / (1.0 + y)
+
+
+def _t_log_mod_two_pi(T, x):
+    """A value congruent to T log x mod 2 pi, below 4 pi + 4 in size, for T, x > 0.
+
+    With x = f 2^k and f in [2^-1/2, 2^1/2], T log x = T log1p(f - 1) +
+    k T ln 2, with log1p(f - 1) and ln 2 as hi/lo pairs; each large product
+    is formed exactly and reduced.  The error that grows with T is that of
+    log1p's lo part, at most 2.5e-18 T, where T fl(log x) errs by up to half
+    an ulp of log x (8.9e-16 T at x = 4000).
+    """
+    k = np.rint(np.log2(x))
+    hi, lo = _log1p_hi_lo(np.ldexp(x, -k.astype(int)) - 1.0)
+    return (_mod_two_pi(*_two_product(T, hi)) + T * lo
+            + _mod_two_pi(*_two_product(T, k * _LN2_HI)) + T * (k * _LN2_LO))
+
+
 def E_balasubramanian(T: float) -> float:
     """E(T) by the double-sum formula over m, n <= K = sqrt(T/(2 pi)).
 
     First sum: sin(T log(n/m)) / (sqrt(mn) log(n/m)); second sum:
     sin(2 theta1 - T log(mn)) / (sqrt(mn) (log(T/(2 pi)) - log(mn)));
-    both over m != n, doubled.  Both terms are symmetric in (m, n), so each
-    row m sums n > m once and the total counts four times: O(K^2) work,
-    O(K) memory.  K above ``BALASU_K_CAP`` raises ResourceLimitError.
-    Remainder O(log^2 T).
+    both over m != n, doubled.  Both terms are symmetric in (m, n), so the
+    sum runs over n > m once and counts four times.
+
+    With a_n = T log n and b_m = 2 theta1 - a_m, the numerators are
+    sin(a_n - a_m) and sin(b_m - a_n), which angle addition expands into
+    sin a_n, cos a_n, sin b_m and cos b_m: 4K sines and cosines, and each
+    row m is four dot products of its weights against sin a and cos a.
+    a_n and 2 theta1 are reduced mod 2 pi exactly (``_t_log_mod_two_pi``),
+    so the error left is that of log n and theta1 carried to about 2.5e-18
+    relative.  The K^2/2 pairs' weights are formed in row tiles of at most
+    ``_BALASU_TILE_PAIRS`` pairs whose sums are added in row order: O(K^2)
+    work, O(K) memory.  K above ``BALASU_K_CAP`` raises
+    ResourceLimitError.  Remainder O(log^2 T).
     """
     if not 0.0 < T < math.inf:
         raise InvalidArgumentError(f"E_balasubramanian needs finite T > 0, got {T!r}")
@@ -368,13 +451,35 @@ def E_balasubramanian(T: float) -> float:
     n = np.arange(1, kn + 1, dtype=np.float64)
     logn = np.log(n)
     rsn = 1.0 / np.sqrt(n)
-    two_th1 = 2.0 * theta1(T)
     log_t = math.log(T / TWO_PI)
+    a = _t_log_mod_two_pi(T, n)
+    # 2 theta1 = T log T - T log(2 pi) - T - pi/4, each large part reduced
+    two_th1 = (_t_log_mod_two_pi(T, T) - _mod_two_pi(*_two_product(T, _LOG_TWO_PI_HI))
+               - T * _LOG_TWO_PI_LO - _mod_two_pi(T, 0.0) - math.pi / 4.0)
+    b = two_th1 - a
+    sin_a, cos_a, sin_b, cos_b = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
+    sc = np.column_stack((sin_a, cos_a))
+    # with (S, C) the dot products of row m's weights with (sin a, cos a), its
+    # first sum is cos a_m S - sin a_m C and its second sin b_m C - cos b_m S
+    coef = rsn[:, None] * np.stack((np.column_stack((cos_a, -sin_a)),
+                                    np.column_stack((-cos_b, sin_b))))
+    c_log = log_t - logn
+    rows_max = min(kn - 1, math.isqrt(_BALASU_TILE_PAIRS))
+    below = np.tri(rows_max, k=-1, dtype=bool)  # [i, j]: pair n = m0 + 1 + j <= m = m0 + i
+    buf = np.empty(2 * min(max(_BALASU_TILE_PAIRS, kn - 1), (kn - 1) ** 2))  # the largest tile
     total = 0.0
-    for m in range(kn - 1):
-        lg, lp = logn[m + 1:] - logn[m], logn[m + 1:] + logn[m]
-        total += float(rsn[m] * np.sum(rsn[m + 1:] * (
-            np.sin(T * lg) / lg + np.sin(two_th1 - T * lp) / (log_t - lp))))
+    m0 = 0
+    while m0 < kn - 1:
+        cols = kn - 1 - m0  # n = m0 + 1 .. kn - 1 (0-based)
+        r = min(cols, max(1, _BALASU_TILE_PAIRS // cols))
+        rows, ns = slice(m0, m0 + r), slice(m0 + 1, kn)
+        w = buf[:2 * r * cols].reshape(2, r, cols)
+        np.subtract(logn[ns], logn[rows, None], out=w[0])
+        np.subtract(c_log[rows, None], logn[ns], out=w[1])
+        w[:, :, :r][:, below[:r, :r]] = np.inf
+        np.divide(rsn[ns], w, out=w)
+        total += float(np.sum(coef[:, rows] * (w.reshape(2 * r, cols) @ sc[ns]).reshape(2, r, 2)))
+        m0 += r
     return 4.0 * total
 
 

@@ -1,3 +1,5 @@
+import decimal
+import functools
 import math
 import os
 import sys
@@ -14,7 +16,7 @@ from zetadiv import (E_atkinson, E_balasubramanian, E_direct, E_grid,
                      InvalidArgumentError, OutOfRangeError, PrecisionError, PrecisionWarning,
                      ResourceLimitError, ZetaMeanSquare, delta_via_psi,
                      empirical_exponent, estar_scan, hyperbola_divisor_sum,
-                     short_interval_ms, theta1, voronoi_delta)
+                     short_interval_ms, voronoi_delta)
 from zetadiv import _workers, error_terms
 from zetadiv.divisor import SUM_BLOCK, main_term
 from zetadiv.error_terms import (ATKINSON_A, ATKINSON_A_PRIME, _gl_pieces,
@@ -401,12 +403,23 @@ def test_series_temporaries_stay_small(traced_peak, table_big, series):
     assert peak < 1e6, peak
 
 
+PI_40 = decimal.Decimal("3.141592653589793238462643383279502884197")
+
+
+@functools.lru_cache
+def two_theta1_mod_two_pi(T: float) -> float:
+    """2 theta1(T) = T log(T/(2 pi)) - T - pi/4 mod 2 pi, at 40 digits, rounded once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        t = decimal.Decimal(T)
+        return float((t * (t / (2 * PI_40)).ln() - t - PI_40 / 4) % (2 * PI_40))
+
+
 def balasubramanian_terms(T: float, m: int, n: int) -> tuple[float, float]:
     """The two summands of the double sum at (m, n), m != n, in plain Python."""
-    th1 = theta1(T)
     dlog = math.log(T / TWO_PI)
     return (math.sin(T * math.log(n / m)) / (math.sqrt(m * n) * math.log(n / m)),
-            math.sin(2 * th1 - T * math.log(m * n))
+            math.sin(two_theta1_mod_two_pi(T) - T * math.log(m * n))
             / (math.sqrt(m * n) * (dlog - math.log(m * n))))
 
 
@@ -458,6 +471,77 @@ def test_balasubramanian_K_and_cap():
 def test_balasubramanian_matches_direct():
     T = 500.0
     assert abs(E_balasubramanian(T) - E_direct(T)) <= 20.0 * math.log(T) ** 2
+
+
+def test_balasubramanian_against_mpmath():
+    # the double sum at 25 digits (K = 109, 5886 pairs n > m); the sum errs
+    # by 2.0e-12 here, 5000 times inside the gate (by 8.7e-11 with every
+    # phase formed in double)
+    mpmath = pytest.importorskip("mpmath")
+    T = 75000.0
+    with mpmath.workdps(25):
+        t = mpmath.mpf(T)
+        K = int(math.sqrt(T / TWO_PI))
+        logs = [mpmath.log(n) for n in range(1, K + 1)]
+        log_t = mpmath.log(t / (2 * mpmath.pi))
+        two_th1 = t * log_t - t - mpmath.pi / 4
+        ref = 4 * mpmath.fsum(
+            (mpmath.sin(t * (logs[n] - logs[m])) / (logs[n] - logs[m])
+             + mpmath.sin(two_th1 - t * (logs[n] + logs[m])) / (log_t - logs[n] - logs[m]))
+            / mpmath.sqrt((m + 1) * (n + 1))
+            for m in range(K) for n in range(m + 1, K))
+    assert abs(E_balasubramanian(T) - float(ref)) <= 1e-8
+
+
+def test_balasubramanian_against_exact_phases():
+    # an independent route at T = 5e6 (K = 892): every phase T log n and
+    # 2 theta1 reduced mod 2 pi at 40 digits, then each row summed directly
+    # over sin(a_n - a_m) and sin(2 theta1 - a_m - a_n).  The sum errs by
+    # 5.6e-11 here; by 3.6e-9 with 2 theta1 formed in double, by 2.7e-8 with
+    # T fl(log n) reduced exactly and by 7.2e-8 with every phase in double
+    T = 5e6
+    K = int(math.sqrt(T / TWO_PI))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a = np.array([float(decimal.Decimal(T) * decimal.Decimal(k).ln() % (2 * PI_40))
+                      for k in range(1, K + 1)])
+    two_th1 = two_theta1_mod_two_pi(T)
+    n = np.arange(1.0, K + 1.0)
+    logn, rsn, log_t = np.log(n), 1.0 / np.sqrt(n), math.log(T / TWO_PI)
+    ref = 4.0 * sum(
+        rsn[m] * np.sum(rsn[m + 1:] * (
+            np.sin(a[m + 1:] - a[m]) / (logn[m + 1:] - logn[m])
+            + np.sin(two_th1 - a[m] - a[m + 1:]) / (log_t - logn[m] - logn[m + 1:])))
+        for m in range(K - 1))
+    assert abs(E_balasubramanian(T) - ref) <= 1e-9
+
+
+def test_phase_reduction_against_mpmath(rng):
+    # T log n mod 2 pi for every n <= 4000 at T = 1e8 + a draw: the lo part
+    # of log1p on the mantissa bounds the error by 2.5e-18 T = 2.5e-10 (the
+    # largest is 2.07e-18 T; T fl(log n) reduced exactly errs by up to 8.9e-16 T)
+    mpmath = pytest.importorskip("mpmath")
+    T = 1e8 + float(rng.uniform(0.0, 1e6))
+    n = np.arange(1.0, 4001.0)
+    got = error_terms._t_log_mod_two_pi(T, n)
+    with mpmath.workdps(40):
+        two_pi = 2 * mpmath.pi
+        want = [mpmath.mpf(T) * mpmath.log(int(k)) for k in n]
+        err = [float((mpmath.mpf(g) - w + mpmath.pi) % two_pi - mpmath.pi)
+               for g, w in zip(got, want)]
+    assert np.max(np.abs(got)) < 4.0 * math.pi + 4.0
+    assert max(map(abs, err)) <= 2.5e-18 * T
+
+
+@pytest.mark.parametrize("tile", [1, 5000, 2**20], ids=["one_row", "uneven", "one_tile"])
+def test_balasubramanian_tile_seams(monkeypatch, tile):
+    # T = 1e6 has K = 398: one row per tile, tiles of 12 rows and more that
+    # do not divide K - 1 = 397, and one tile of every row against the
+    # default; only the order of the additions moves
+    T = 1e6
+    default = E_balasubramanian(T)
+    monkeypatch.setattr(error_terms, "_BALASU_TILE_PAIRS", tile)
+    assert abs(E_balasubramanian(T) - default) <= 1e-12 * abs(default)
 
 
 def test_estar_scan_small_T_consistency(table_small):
