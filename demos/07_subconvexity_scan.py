@@ -7,7 +7,9 @@ running max makes the envelope visible: the scaled sup stays a handful of
 units while |zeta| itself reaches the high twenties.  The log factor is
 honest, though - the scaled running max still creeps upward at these
 heights, stepping at genuine large values (the biggest one in range sits
-near t = 77404 and survives an independent oracle check).
+near t = 77404 and survives an independent oracle check).  With the log
+factor divided out, the scan stays under the explicit constant 0.63 that
+G. Hiary proved (Indag. Math. 27, 2016).
 """
 
 import math
@@ -25,6 +27,10 @@ for T in (1e2, 1e3, 1e4, 1e5):
     print(f"  running max at t={T:>9,.0f}: {run[i]:.4f}")
 
 print(f"\n  final scaled sup = {run[-1]:.4f}")
+ratio = run / np.log(ts)  # run(t) bounds every |zeta| t^(-1/6) scanned up to t
+i = int(ratio.argmax())
+print(f"  max |zeta| / (t^(1/6) log t) = {ratio[i]:.4f} at t = {ts[i]:.2f} "
+      f"(Hiary's proven bound: 0.63 for t >= 3)")
 
 # largest contributor, cross-checked against the oracle
 t_peak = 77403.732

@@ -132,23 +132,6 @@ def _sieve_segments(values: np.ndarray, segments) -> None:
                 seg[first::d] += 2
 
 
-def _deal_segments(segments, workers: int) -> list[list[tuple[int, int]]]:
-    """Deal the segments to ``workers`` shares of about equal d-passes.
-
-    Segment (lo, hi) runs isqrt(hi - 1) passes, so from the last segment
-    back each goes to the share with the fewest passes so far.  At 1e7 the
-    two shares run 11,600 and 11,329 of the 22,929 passes (12,062 and 10,867
-    when they alternate).
-    """
-    shares = [[] for _ in range(workers)]
-    passes = [0] * workers
-    for lo, hi in reversed(segments):
-        w = passes.index(min(passes))
-        shares[w].append((lo, hi))
-        passes[w] += math.isqrt(hi - 1)
-    return shares
-
-
 def sieve_divisors(limit: int) -> DivisorTable:
     """Sieve d(n) for 1 <= n <= limit.
 
@@ -159,11 +142,12 @@ def sieve_divisors(limit: int) -> DivisorTable:
     the write working set stays in cache; the output array itself is
     allocated in full (uint16, 2 bytes per entry), up to ``MAX_SIEVE_LIMIT``.
 
-    From two full segments up, where ``os.fork`` exists, the segments are
-    dealt to up to ``_workers.WORKERS`` processes: the caller and forked
-    workers, which write into one shared anonymous mapping that becomes
-    the table.  Each entry is written by one process only, so the table
-    is the same at any worker count.
+    The table is one shared anonymous mapping.  From two full segments up,
+    ``_workers.deal`` alternates the segments over up to
+    ``_workers.WORKERS`` processes, the caller and forked workers; below,
+    the caller sieves them all.  Each entry is written by one process only,
+    so the table is the same at any worker count.  A worker's exception is
+    raised here once the caller has sieved its own share.
     """
     if not 1 <= limit < math.inf:
         raise InvalidArgumentError(f"sieve limit must be finite and >= 1, got {limit}")
@@ -175,17 +159,12 @@ def sieve_divisors(limit: int) -> DivisorTable:
 
     segments = [(lo, min(lo + DEFAULT_SEGMENT, limit + 1))
                 for lo in range(1, limit + 1, DEFAULT_SEGMENT)]
-    workers = min(_workers.WORKERS, len(segments)) if hasattr(os, "fork") else 1
-    if limit < 2 * DEFAULT_SEGMENT or workers < 2:
-        values = np.zeros(limit + 1, dtype=np.uint16)
-        _sieve_segments(values, segments)
-    else:
-        values = np.frombuffer(mmap.mmap(-1, 2 * (limit + 1)), dtype="<u2")
-        own, *others = _deal_segments(segments, workers)
-        with _workers.Forked() as forked:
-            for share in others:
-                forked.start(_sieve_segments, values, share)
-            _sieve_segments(values, own)
+    own, *others = _workers.deal(segments) if limit >= 2 * DEFAULT_SEGMENT else [segments]
+    values = np.frombuffer(mmap.mmap(-1, 2 * (limit + 1)), dtype="<u2")
+    with _workers.Forked() as forked:
+        for share in others:
+            forked.start(lambda send, share: _sieve_segments(values, share), share)
+        _sieve_segments(values, own)
     values.setflags(write=False)
     return DivisorTable(limit=limit, values=values)
 

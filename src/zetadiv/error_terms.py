@@ -29,10 +29,7 @@ slope estimator for empirical growth exponents.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import pickle
 import warnings
 from dataclasses import dataclass, field
 
@@ -199,7 +196,9 @@ class ZetaMeanSquare:
         self._cum, self._err = cum, err
 
     def error_estimate(self, T: float) -> float:
-        """Accumulated audit error estimate of the cached prefix at T."""
+        """Accumulated audit error estimate of the cached prefix at T >= 0."""
+        if not 0.0 <= T < math.inf:
+            raise InvalidArgumentError(f"error_estimate needs finite T >= 0, got {T!r}")
         self.extend_to(T)
         return float(self._err[int(T / self.chunk)])
 
@@ -493,80 +492,22 @@ def _csv_block(columns, row: str, lo: int) -> bytes:
     return (row * len(cells) % tuple(cells.ravel().tolist())).encode()
 
 
-#: Pipe capacity a CSV worker asks for: a 4-column block is about 350 KB,
-#: and in a 64 KiB pipe the worker and the caller took turns rather than
-#: running at once (0.35 s for estar-scan's table at tmax = 2e4, against
-#: 0.18 s with 1 MiB, on a 2-vCPU Xeon).
-_PIPE_BYTES = 2**20
-
-
-def _csv_worker(out: int, readers, columns, row: str, starts) -> None:
-    """Body of a forked CSV worker: pickle each block down the pipe ``out``.
-
-    A block that raises sends the exception instead.
-    """
-    for reader in readers:  # the parent's read ends, this worker's own included
-        reader.close()
-    with open(out, "wb") as pipe:
-        try:
-            for lo in starts:
-                pickle.dump(_csv_block(columns, row, lo), pipe)
-        except Exception as exc:
-            pickle.dump(exc, pipe)
-
-
-def _write_forked(fh, columns, row: str, starts, workers: int) -> None:
-    """Write the blocks at ``starts`` to fh in order, ``workers`` processes formatting them.
-
-    The caller formats blocks 0, workers, 2 workers, ...; forked worker w
-    (0 < w < workers) formats blocks w, w + workers, ... and pickles each
-    down its own pipe of ``_PIPE_BYTES``.  A worker blocks while its pipe
-    is full, so it runs at most one formatted block plus one pipe ahead of
-    the caller.  A worker's exception is raised here.  Every worker has
-    ended and been reaped when this returns or raises; on an error the
-    caller kills them first.
-    """
-    import fcntl  # only this path needs it
-    grow = getattr(fcntl, "F_SETPIPE_SZ", None)  # Linux
-    readers = []  # worker w's read end at index w - 1
-    try:
-        with _workers.Forked() as forked:
-            for w in range(1, workers):
-                r, out = os.pipe()
-                readers.append(open(r, "rb"))
-                try:
-                    if grow is not None:
-                        with contextlib.suppress(OSError):  # above pipe-max-size: the default
-                            fcntl.fcntl(out, grow, _PIPE_BYTES)
-                    forked.start(_csv_worker, out, readers, columns, row, starts[w::workers])
-                finally:
-                    os.close(out)
-            for b, lo in enumerate(starts):
-                if b % workers == 0:
-                    fh.write(_csv_block(columns, row, lo))
-                    continue
-                try:
-                    block = pickle.load(readers[b % workers - 1])
-                except (EOFError, pickle.UnpicklingError):
-                    raise ChildProcessError(
-                        f"a CSV worker ended before sending block {b}") from None
-                if isinstance(block, BaseException):
-                    raise block
-                fh.write(block)
-    finally:
-        for reader in readers:
-            reader.close()
+def _csv_worker(send, columns, row: str, starts) -> None:
+    """Body of a forked CSV worker: send each block at ``starts`` in turn."""
+    for lo in starts:
+        send(_csv_block(columns, row, lo))
 
 
 def write_columns_csv(path, header: str, columns) -> None:
     """CSV of equal-length float64 arrays, shortest round-trip repr, ``SUM_BLOCK`` rows a step.
 
     Each block is formatted by one ``%`` over a row template; ``%r`` of a
-    float is its repr.  A table of more than one block is formatted by up
-    to ``_workers.WORKERS`` forked processes where ``os.fork`` exists, and the
-    caller writes the blocks in order, so the bytes do not depend on the
-    worker count.  Columns of unequal length raise InvalidArgumentError
-    before the file is opened.
+    float is its repr.  ``_workers.deal`` alternates the blocks over up to
+    ``_workers.WORKERS`` processes: the caller formats share 0, forked
+    workers send the others back, and the caller writes every block in
+    order, so the bytes do not depend on the worker count.  A worker's
+    exception is raised here.  Columns of unequal length raise
+    InvalidArgumentError before the file is opened.
     """
     n = len(columns[0])
     if any(len(col) != n for col in columns):
@@ -574,14 +515,14 @@ def write_columns_csv(path, header: str, columns) -> None:
             f"columns must have equal lengths, got {[len(col) for col in columns]}")
     row = ",".join(["%r"] * len(columns)) + "\n"
     starts = range(0, n, SUM_BLOCK)
-    workers = min(_workers.WORKERS, len(starts)) if hasattr(os, "fork") else 1
-    with open(path, "wb") as fh:
+    shares = _workers.deal(starts)
+    with open(path, "wb") as fh, _workers.Forked() as forked:
         fh.write(f"{header}\n".encode())
-        if workers > 1:
-            _write_forked(fh, columns, row, starts, workers)
-        else:
-            for lo in starts:
-                fh.write(_csv_block(columns, row, lo))
+        for share in shares[1:]:
+            forked.start(_csv_worker, columns, row, share)
+        for b, lo in enumerate(starts):
+            w = b % len(shares)
+            fh.write(forked.receive(w - 1) if w else _csv_block(columns, row, lo))
 
 
 @dataclass(eq=False)

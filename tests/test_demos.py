@@ -18,6 +18,8 @@ ROOT = Path(__file__).resolve().parents[1]
                              "(97/251, 132/251) word=ABAABAAAB; 467 pairs explored"),
     ("06_estar_moments.py", "moment ratios at dyadic checkpoints"),
     ("07_subconvexity_scan.py",
+     "  max |zeta| / (t^(1/6) log t) = 0.5069 at t = 45.56 (Hiary's proven bound: 0.63 "
+     "for t >= 3)\n"
      "  largest peak in range: |zeta| = 28.208 at t = 77403.732 (scaled 4.3210)"),
 ], ids=["demo01", "demo02", "demo03", "demo04", "demo05", "demo06", "demo07"])
 def test_demo_runs(name, expect):

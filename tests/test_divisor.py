@@ -200,14 +200,15 @@ def test_sieve_without_fork_stays_in_the_caller(monkeypatch, forks):
     assert len(forks) == 2
 
 
-@pytest.mark.parametrize("failure, error", [("exit", ChildProcessError),
-                                            ("raise", ChildProcessError),
+@pytest.mark.parametrize("failure, error", [("raise", PrecisionError),
+                                            ("exit", ChildProcessError),
                                             ("caller", PrecisionError)])
 def test_failing_sieve_worker_raises_and_leaves_no_child(monkeypatch, forks, assert_reaped,
                                                          failure, error):
-    # a worker that dies, by os._exit(3) or by an exception, fails the call
-    # once the caller has sieved its own share; a caller that raises kills
-    # its workers (here sleeping 30 s each) before it re-raises
+    # the CSV writer's contract: once the caller has sieved its own share, a
+    # worker whose body raised fails the call with its own exception, and
+    # one that died by os._exit(3) with ChildProcessError; a caller that
+    # raises kills its workers (here sleeping 30 s each) before it re-raises
     caller, sieve = os.getpid(), divisor._sieve_segments
 
     def failing(values, segments):

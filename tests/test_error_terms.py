@@ -200,6 +200,9 @@ def test_quadrature_caps(call):
     lambda: estar_scan(math.inf),
     lambda: short_interval_ms(math.inf, 5.0),
     lambda: short_interval_ms(1e4, math.nan),
+    lambda: ZetaMeanSquare().error_estimate(-1.0),
+    # a negative T once indexed the cache from its end: _err[-4], near T = 99
+    lambda: (ms := ZetaMeanSquare()).extend_to(100.0) or ms.error_estimate(-1.0),
 ])
 def test_quadrature_rejects_non_finite(call):
     with pytest.raises(InvalidArgumentError):
@@ -736,10 +739,11 @@ def test_write_columns_csv_worker_count_does_not_change_bytes(monkeypatch, tmp_p
                                             ("hang", PrecisionError)])
 def test_failing_csv_worker_raises_and_leaves_no_child(monkeypatch, tmp_path, forks,
                                                        assert_reaped, failure, error):
-    # a worker's exception comes back pickled; a worker that dies without a
-    # word is an end of file where its block should be.  The caller raises
-    # at block 1 and kills the other worker (in the "hang" case one that
-    # would sleep for 30 s over block 2), so no worker outlives the call
+    # the sieve's contract: a worker whose body raises sends its own
+    # exception, one that dies without a word is a ChildProcessError.  In the
+    # "hang" case the caller raises (here at block 1, received from the
+    # worker that raised) while the other worker sleeps 30 s over block 2,
+    # and kills it, so no worker outlives the call
     caller, block = os.getpid(), error_terms._csv_block
 
     def failing(columns, row, lo):
