@@ -1,9 +1,9 @@
 """The CPUs one call may spread over, and the one way work goes to forked workers.
 
-The sieve, the quadrature and the CSV writer each read ``WORKERS`` through
-this module at call time, so one assignment sets all three.  The sieve and
-the CSV writer ``deal`` their items, keep share 0 and give each other share
-to a ``Forked`` worker, so both deal, send back and fail the same way.
+The sieve and the CSV writer read ``WORKERS`` through this module at call
+time, so one assignment sets both.  Each ``deal``s its items, keeps share 0
+and gives each other share to a ``Forked`` worker, so both deal, send back
+and fail the same way.  The quadrature runs on the calling thread only.
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
+import traceback
 
-#: Threads or processes one call spreads over, the caller included: the CPUs
-#: this process may run on.
+#: Processes one call spreads over, the caller included: the CPUs this
+#: process may run on.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
@@ -35,7 +36,7 @@ def cpus_beside_caller() -> set[int]:
 
 
 def move_to(cpus: set[int]) -> None:
-    """Move the calling thread (a whole process, if it has one thread) to ``cpus``, if any.
+    """Move the calling thread (all of a forked worker) to ``cpus``, if any.
 
     A new thread or forked process starts on its parent's CPU, and a kernel
     that does not balance load (a cpuset with ``sched_load_balance`` 0)
@@ -59,13 +60,35 @@ def deal(items) -> list:
 _END = object()  # what a worker's pipe yields at its end
 
 
+class RemoteTraceback(Exception):
+    """A worker's formatted traceback, the cause of the exception it sent."""
+
+
+def _with_cause(exc: BaseException, text: str) -> BaseException:
+    exc.__cause__ = RemoteTraceback(text)
+    return exc
+
+
+class _Failure:
+    """A worker's exception and its traceback text; unpickles as the exception
+    with the text chained as its cause (pickling drops ``__traceback__``)."""
+
+    def __init__(self, exc: BaseException):
+        self.exc, self.text = exc, traceback.format_exc()
+
+    def __reduce__(self):
+        return _with_cause, (self.exc, self.text)
+
+
 class Forked:
     """Worker processes, each reaped when the ``with`` block that starts them ends.
 
     ``start(body, *args)`` forks a worker with its own pipe of ``_PIPE_BYTES``.
     The worker closes the read ends it inherits, moves to the CPUs beside
     the caller and runs ``body(send, *args)``, where ``send(obj)`` pickles
-    obj down the pipe; if the body raises, it sends the exception.  It ends
+    obj down the pipe; if the body raises, it sends the exception with its
+    formatted traceback, which the caller chains as the exception's cause
+    (a ``RemoteTraceback``), so the body's failing line shows there.  It ends
     in ``os._exit`` (0 if the body returned), so it flushes no inherited
     buffer and runs no clean-up of its parent's.
 
@@ -105,7 +128,7 @@ class Forked:
                             body(send, *args)
                             code = 0
                         except Exception as exc:
-                            send(exc)
+                            send(_Failure(exc))
                 finally:
                     os._exit(code)
         finally:

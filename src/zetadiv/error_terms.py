@@ -82,30 +82,40 @@ def _check_nodes(nodes: int) -> None:
         raise ResourceLimitError(f"{nodes:.3e} nodes in one quadrature call reach the cap")
 
 
-def _gl_sum(starts: np.ndarray, width: float, m: int, f, rule) -> np.ndarray:
+def _gl_sum(starts: np.ndarray, width: float, m: int, f, rule, k0: int | None = None) -> np.ndarray:
     """Composite Gauss-Legendre of f on each piece [s, s + width], m panels.
 
     Panel-major nodes, so sorted starts give sorted t; each row is reduced on
     its own, so a piece's value does not depend on the call's other pieces.
+    f gets the nodes and a product-grid key.  ``k0`` says that the starts
+    are width k for k = k0, k0 + 1, ...: the nodes are then nodes k0
+    len(offsets), ... of the grid width k + offsets (``zeta._grid_sums``),
+    and the key is (k0 len(offsets), width, offsets); otherwise it is None.
     """
     x, w = rule
     _check_nodes(starts.size * m * x.size)
     h = width / m
     offsets = ((np.arange(m)[:, None] + 0.5 * (x + 1.0)) * h).ravel()
-    ys = f((starts[:, None] + offsets).ravel()).reshape(starts.size, offsets.size)
+    grid = None if k0 is None else (k0 * offsets.size, width, offsets)
+    ys = f((starts[:, None] + offsets).ravel(), grid).reshape(starts.size, offsets.size)
     return (ys * np.tile(0.5 * h * w, m)).sum(axis=1)
 
 
 def _gl_pieces(starts: np.ndarray, width: float, m: int, f) -> tuple[np.ndarray, float]:
     """GL_NODES-point integrals of f on the pieces, and the audit estimate.
 
-    The audit re-integrates at 2*GL_NODES nodes, in one more call of f, every
-    64th piece and each piece that holds a jump of ``zeta_abs2_grid``: the
-    route seam at ``SCAN_RS_MIN_T`` and each Riemann-Siegel length change at
+    Starts that are width k for consecutive k >= 0, bit for bit, form a
+    product grid (``_gl_sum``); any others do not.  The audit re-integrates
+    at 2*GL_NODES nodes, in one more call of f with no grid key, every 64th
+    piece and each piece that holds a jump of ``zeta_abs2_grid``: the route
+    seam at ``SCAN_RS_MIN_T`` and each Riemann-Siegel length change at
     2 pi K^2 above it.  The largest audited difference is the error charged
-    to every piece.
+    to every piece; it also covers the block kernel's rounding against the
+    per-term loop.
     """
-    vals = _gl_sum(starts, width, m, f, _GL_RULE)
+    k0 = int(np.rint(starts[0] / width))
+    chunked = k0 >= 0 and np.array_equal(width * np.arange(k0, k0 + starts.size), starts)
+    vals = _gl_sum(starts, width, m, f, _GL_RULE, k0 if chunked else None)
     ends = starts + width
     audit = (ends > SCAN_RS_MIN_T) & ((starts < SCAN_RS_MIN_T) | (
         np.floor(np.sqrt(starts / TWO_PI)) != np.floor(np.sqrt(ends / TWO_PI))))
@@ -121,10 +131,11 @@ class ZetaMeanSquare:
     groups; every chunk carries its group's audit estimate.  That covers
     quadrature only: the integrand's own Riemann-Siegel error, at most
     0.053 t^(-5/4) per Z value, is not in it.  Extending from T1 to T2 only
-    computes the new chunks, so one instance serves a whole scan.
-    Chunk groups are integrated concurrently and summed in chunk order, so
-    the bits do not depend on the thread count; do not share an instance
-    while it grows.
+    computes the new chunks, so one instance serves a whole scan.  Chunk
+    k starts at k * chunk, so each group's nodes are a product grid of
+    chunk starts and Gauss offsets, which ``zeta_abs2_grid`` sums on the
+    block kernel; a piece's bits do not depend on the grouping.  Do not
+    share an instance while it grows.
     """
 
     def __init__(self, chunk: float = 0.25):
@@ -139,13 +150,12 @@ class ZetaMeanSquare:
 
         Groups of up to 4096 new chunks take the panel count of their last
         chunk, which no chunk's own count exceeds (one panel for the default
-        chunk below t = 2 pi e^10 ~ 1.38e5).  The calling thread and
-        ``_workers.WORKERS - 1`` helpers, each moved to the CPUs beside the
-        caller's, take groups from one shared iterator; then one running sum
-        adds the pieces in chunk order.  Each call that grows the cache
-        allocates its two arrays once, at their new length; a cache of
-        ``E_GRID_MAX_POINTS`` chunks or more raises ResourceLimitError first.
-        If a group raises, the cache is left as it was.
+        chunk below t = 2 pi e^10 ~ 1.38e5), and are integrated in turn on
+        the calling thread; then one running sum adds the pieces in chunk
+        order.  Each call that grows the cache allocates its two arrays
+        once, at their new length; a cache of ``E_GRID_MAX_POINTS`` chunks
+        or more raises ResourceLimitError first.  If a group raises, the
+        cache is left as it was.
         """
         if not math.isfinite(T):
             raise InvalidArgumentError(f"extend_to needs finite T, got {T!r}")
@@ -158,41 +168,15 @@ class ZetaMeanSquare:
             return
         cum, err = np.empty(need + 1), np.empty(need + 1)
         cum[:k + 1], err[:k + 1] = self._cum, self._err
-        bounds = [*range(k, need, 4096), need]  # group g is chunks bounds[g]..bounds[g+1]
-        worst = np.empty(len(bounds) - 1)
-        groups = iter(range(worst.size))  # a range iterator's next() is atomic
-
-        def integrate(cpus=()) -> None:
-            try:
-                _workers.move_to(cpus)
-                for g in groups:
-                    lo, hi = bounds[g], bounds[g + 1]
-                    m = _panel_count(self.chunk, hi * self.chunk)
-                    # each piece lands in its own slot; the running sum comes later
-                    cum[lo + 1:hi + 1], worst[g] = _gl_pieces(
-                        self.chunk * np.arange(lo, hi), self.chunk, m, zeta_abs2_grid)
-            except BaseException:
-                for _ in groups:  # the other threads stop at their next group
-                    pass
-                raise
-
-        helpers = min(_workers.WORKERS, worst.size) - 1
-        if helpers > 0:
-            # imported here: its import (logging included) costs about 10 ms
-            # at start-up, which no other path of the package needs
-            from concurrent.futures import ThreadPoolExecutor
-            cpus = _workers.cpus_beside_caller()
-            with ThreadPoolExecutor(helpers) as pool:
-                futures = [pool.submit(integrate, cpus) for _ in range(helpers)]
-                integrate()
-            for f in futures:
-                f.result()
-        else:
-            integrate()
+        for lo in range(k, need, 4096):
+            hi = min(lo + 4096, need)
+            m = _panel_count(self.chunk, hi * self.chunk)
+            # each piece lands in its own slot; the running sum comes later
+            cum[lo + 1:hi + 1], worst = _gl_pieces(
+                self.chunk * np.arange(lo, hi), self.chunk, m, zeta_abs2_grid)
+            err[lo + 1:hi + 1] = err[lo] + worst * np.arange(1, hi - lo + 1)
         # cumsum adds in sequence, as a running float sum would
         np.cumsum(cum[k:], out=cum[k:])
-        for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            err[lo + 1:hi + 1] = err[lo] + worst[g] * np.arange(1, hi - lo + 1)
         self._cum, self._err = cum, err
 
     def error_estimate(self, T: float) -> float:
@@ -663,7 +647,7 @@ def short_interval_ms(T: float, G: float) -> float:
     m = _panel_count(width, b)
     _check_nodes(n * m * GL_NODES)
     vals, worst = _gl_pieces(a + width * np.arange(n), width, m,
-                             lambda ts: smooth_window(ts, T, G) * zeta_abs2_grid(ts))
+                             lambda ts, grid: smooth_window(ts, T, G) * zeta_abs2_grid(ts, grid))
     value, err = float(np.sum(vals)), worst * n
     if err > max(0.05, 1e-6 * abs(value)):
         raise PrecisionError(f"short-interval audit estimate {err:.3e} exceeds the tolerance")

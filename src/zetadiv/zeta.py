@@ -12,7 +12,10 @@ Three routes are provided and cross-validated against each other:
                    a K run with K >= ``RS_BLOCK_MIN_K`` on an arithmetic
                    progression sums its main sum as blocked complex
                    matrix products (Odlyzko-Schonhage), any other run
-                   one cosine per term and point;
+                   one cosine per term and point.  The quadrature's
+                   nodes, chunk starts plus Gauss offsets, are a product
+                   grid that ``rs_z_grid`` and the Euler-Maclaurin route
+                   below t = 200 sum on the same kernel at every K;
 * ``z_function`` - the production Z(t) evaluator for every finite t,
                    through Z(-t) = Z(t): Euler-Maclaurin backed below
                    |t| = ``RS_CROSSOVER_T`` (where the truncated
@@ -96,6 +99,12 @@ def _em_sum(s: np.ndarray, N: int, K: int) -> np.ndarray:
     rows = max(1, 2**16 // N)  # temporaries of 1 MiB or one row; each row sums on its own
     for lo in range(0, s.size, rows):
         out[lo:lo + rows] = np.exp(-np.multiply.outer(s[lo:lo + rows], logn)).sum(axis=1)
+    return _em_tail(out, s, N, K)
+
+
+def _em_tail(out: np.ndarray, s: np.ndarray, N: int, K: int) -> np.ndarray:
+    """Add the Euler-Maclaurin tail of zeta(s) past the direct sum to N - 1
+    (N^{1-s}/(s-1) + N^{-s}/2 and K Bernoulli corrections) to ``out``, in place."""
     logN = math.log(N)
     Nms = np.exp(-s * logN)  # N^{-s}
     out += Nms * N / (s - 1) + 0.5 * Nms
@@ -135,13 +144,24 @@ def zeta_em(s, terms: int | None = None, correction_order: int | None = None) ->
     return complex(_em_sum(np.array([s]), N, K)[0])
 
 
-def _zeta_half_em_grid(ts: np.ndarray) -> np.ndarray:
+def _zeta_half_em_grid(ts: np.ndarray, grid=None) -> np.ndarray:
     """Vectorised zeta(1/2+it) for |t| < SCAN_RS_MIN_T (Euler-Maclaurin).
 
     The cut is the fixed _em_terms(SCAN_RS_MIN_T) = 284, so a value does
-    not depend on which other points share its call.
+    not depend on which other points share its call.  On a product grid
+    (``_grid_sums``) each row wholly below SCAN_RS_MIN_T takes its 283-term
+    head from the kernel and adds ``_em_tail``; the other rows keep
+    ``_em_sum``'s bits.
     """
-    return _em_sum(0.5 + 1j * ts, _em_terms(SCAN_RS_MIN_T), _EM_ORDER)
+    s = 0.5 + 1j * ts
+    N = _em_terms(SCAN_RS_MIN_T)
+    if grid is None:
+        return _em_sum(s, N, _EM_ORDER)
+    out, kernel = _grid_sums(grid, ts.size,
+                             lambda first, last: np.where(last < SCAN_RS_MIN_T, N - 1, 0))
+    out[kernel] = _em_tail(out[kernel], s[kernel], N, _EM_ORDER)
+    out[~kernel] = _em_sum(s[~kernel], N, _EM_ORDER)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +460,63 @@ def _main_sum_block(t: np.ndarray, th: np.ndarray, K: int) -> np.ndarray:
     return np.cos(th) * p.real - np.sin(th) * p.imag
 
 
-def rs_z_grid(ts) -> np.ndarray:
+def _grid_sums(grid, size: int, row_terms) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{n<=N} n^(-1/2) e^{-i t log n} over the nodes of a product grid, and where it holds.
+
+    ``grid = (q0, width, offsets)`` says that the call's nodes are nodes q0,
+    ..., q0 + size - 1 of t = width k + offsets[j], k = 0, 1, ..., with
+    (k, j) = divmod(q, len(offsets)): chunk starts plus the Gauss offsets
+    of one chunk, in ascending order.  Row r holds the J = 256 //
+    len(offsets) chunks rJ .. rJ + J - 1, so a node is t = r J width + (j1
+    width + offsets[j]) and the sums over a slab of 128 rows are V @ U.T,
+    with V[r, n] = n^(-1/2) e^{-i r J width log n} built by
+    ``_phase_powers`` from the slab's first row, and U[c, n] = e^{-i (j1
+    width + offsets[j]) log n} for column c = j1 len(offsets) + j.
+    ``row_terms(first, last)`` gives each row's term count N from its first
+    and last node t, 0 for a row the kernel leaves alone; the returned mask
+    marks the nodes of rows with N > 0 (the other sums are 0).
+
+    Slabs start at rows that are multiples of 128 and are always evaluated
+    whole, and each tile of 128 terms adds one GEMM per slab, with the terms
+    past a row's N zeroed in V.  So a node's bits depend only on its index,
+    the width, the offsets and its row's N, not on the call's other nodes.
+    """
+    q0, width, offsets = grid
+    J = max(1, _BLOCK_POINTS // offsets.size)
+    cols = J * offsets.size
+    r0 = q0 // cols // _SLAB_ROWS * _SLAB_ROWS
+    r1 = -(-(q0 + size) // (cols * _SLAB_ROWS)) * _SLAB_ROWS
+    chunk0 = J * np.arange(r0, r1)  # each row's first chunk
+    terms = row_terms(width * chunk0 + offsets[0], width * (chunk0 + J - 1) + offsets[-1])
+    n = np.arange(1, int(terms.max(initial=0)) + 1, dtype=np.float64)
+    logn, root = np.log(n), np.sqrt(n)
+    p = np.zeros((r1 - r0, cols), dtype=complex)
+    for n0 in range(0, n.size, _BLOCK_TERMS):
+        ln, rt = logn[n0:n0 + _BLOCK_TERMS], root[n0:n0 + _BLOCK_TERMS]
+        # U = e^{-i j1 width log n} e^{-i offsets[j] log n}, (j1, j) row-major
+        u_t = (_phase_powers(1.0, width, J, ln)[:, None, :]
+               * np.exp(-1j * np.multiply.outer(offsets, ln))).reshape(cols, ln.size).T
+        for s0 in range(0, r1 - r0, _SLAB_ROWS):
+            slab = terms[s0:s0 + _SLAB_ROWS]
+            w = min(ln.size, int(slab.max()) - n0)
+            if w <= 0:
+                continue
+            v = _phase_powers(np.exp(-1j * (width * chunk0[s0]) * ln[:w]) / rt[:w],
+                              J * width, _SLAB_ROWS, ln[:w])
+            v[slab[:, None] <= n0 + np.arange(w)] = 0.0  # row r sums n <= terms[r]
+            p[s0:s0 + _SLAB_ROWS] += v @ u_t[:w]
+    lo = q0 - r0 * cols
+    return p.ravel()[lo:lo + size], np.repeat(terms > 0, cols)[lo:lo + size]
+
+
+def _rs_row_terms(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """K for a product-grid row wholly at or above SCAN_RS_MIN_T within one K, else 0."""
+    k_first = np.floor(np.sqrt(first / TWO_PI)).astype(np.int64)
+    k_last = np.floor(np.sqrt(last / TWO_PI)).astype(np.int64)
+    return np.where((first >= SCAN_RS_MIN_T) & (k_first == k_last), k_first, 0)
+
+
+def rs_z_grid(ts, grid=None) -> np.ndarray:
     """Hardy Z(t) on finite t >= 2 pi (any shape) via the Riemann-Siegel formula.
 
     Main sum of floor(sqrt(t/2 pi)) cosines plus the two correction
@@ -449,7 +525,10 @@ def rs_z_grid(ts) -> np.ndarray:
     series in one Clenshaw loop over blocks of 8192 points.  A K run with
     K >= ``RS_BLOCK_MIN_K`` whose points are within 4 ulp of an
     arithmetic progression sums its main sum in ``_main_sum_block``;
-    every other run in ``_main_sum_loop``.  The measured absolute error
+    every other run in ``_main_sum_loop``.  With ``grid``, 1-d ``ts`` are
+    nodes of a product grid (``_grid_sums``): each row wholly at or above
+    SCAN_RS_MIN_T within one K takes its main sum from the kernel, at any
+    K, and the other rows from the loop.  The measured absolute error
     against the Euler-Maclaurin oracle stays under ~0.06 * t^(-5/4), plus
     the rounding of the phases t log n at large t; a grid whose largest t
     puts that rounding envelope past ``RS_PHASE_ERR_MAX`` raises
@@ -469,6 +548,8 @@ def rs_z_grid(ts) -> np.ndarray:
         raise PrecisionError(f"phase rounding envelope {envelope:.3e} at t={t_max!r} "
                              f"exceeds {RS_PHASE_ERR_MAX}")
     kk = np.floor(np.sqrt(ts / TWO_PI)).astype(np.int64)
+    if grid is not None:
+        sums, kernel = _grid_sums(grid, ts.size, _rs_row_terms)
     # each K run is one slice of K-sorted data: sorted input (every scan)
     # is used as it is, anything else goes through one stable sort; all
     # per-point work happens per run, so temporaries scale with the largest run
@@ -482,9 +563,14 @@ def rs_z_grid(ts) -> np.ndarray:
             continue
         t = t_s[lo:hi]
         th = rs_theta(t)
-        main_sum = (_main_sum_block if K >= RS_BLOCK_MIN_K and _is_progression(t)
-                    else _main_sum_loop)
-        acc = main_sum(t, th, K)
+        if grid is not None:  # sorted, so lo:hi are the run's nodes
+            on, p = kernel[lo:hi], sums[lo:hi]
+            acc = np.cos(th) * p.real - np.sin(th) * p.imag
+            acc[~on] = _main_sum_loop(t[~on], th[~on], K)
+        elif K >= RS_BLOCK_MIN_K and _is_progression(t):
+            acc = _main_sum_block(t, th, K)
+        else:
+            acc = _main_sum_loop(t, th, K)
         z[lo:hi] = 2.0 * acc + _rs_correction(t, K)
     if perm is not None:
         z[perm] = z.copy()
@@ -510,18 +596,23 @@ def z_function(t: float) -> float:
     return float(rs_z_grid(np.array([t]))[0])
 
 
-def zeta_abs2_grid(ts) -> np.ndarray:
+def zeta_abs2_grid(ts, grid=None) -> np.ndarray:
     """|zeta(1/2+it)|^2 over an arbitrary grid of finite t (scan workhorse).
 
     Evaluated at |t|, since |zeta(1/2-it)| = |zeta(1/2+it)|: Euler-Maclaurin
     below SCAN_RS_MIN_T, Riemann-Siegel above; accuracy is everywhere far
-    below the quadrature tolerances that consume it.
+    below the quadrature tolerances that consume it.  ``grid`` marks 1-d
+    ``ts`` as nodes of a product grid of chunk starts and Gauss offsets
+    (``_grid_sums``), which both routes then sum on the block kernel.
     """
     ts = np.abs(np.asarray(ts, dtype=float))
     out = np.empty_like(ts)
     low = ts < SCAN_RS_MIN_T
-    if np.any(low):
-        out[low] = np.abs(_zeta_half_em_grid(ts[low])) ** 2
-    if np.any(~low):
-        out[~low] = rs_z_grid(ts[~low]) ** 2
+    n_low = int(np.count_nonzero(low))
+    if n_low:
+        out[low] = np.abs(_zeta_half_em_grid(ts[low], grid)) ** 2
+    if n_low < ts.size:
+        # a product grid ascends, so its nodes from SCAN_RS_MIN_T on come last
+        high = None if grid is None else (grid[0] + n_low, *grid[1:])
+        out[~low] = rs_z_grid(ts[~low], high) ** 2
     return out

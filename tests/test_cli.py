@@ -484,7 +484,7 @@ def test_estar_scan_csv_contract(capsys, tmp_path):
 
 #: sha256 of ``estar-scan --tmax 2000 --out``: 8,001 rows, across a seam of the
 #: CSV writer's 4096-row blocks and t up to 2000, past the moments goldens
-ESTAR_TMAX2000_SHA256 = "98b3b0a9bf6f8f285d63cf184cb60e8563c508726603662525ce53995370be33"
+ESTAR_TMAX2000_SHA256 = "f4e7d6047eea894beb63b219e1cdb6809588e6822798483753f738ec2396c5a8"
 
 
 def test_estar_scan_tmax2000_golden(capsys, tmp_path):
@@ -505,9 +505,9 @@ def test_estar_scan_tmax2000_golden(capsys, tmp_path):
 
 #: sha256 of ``moments --tmax 300 --k k --out`` CSVs
 MOMENTS_TMAX300_SHA256 = {
-    2: "25d7b9df7b5e66d97fb9362bdf5e166b0798f4d679546559e164e056f73665ad",
-    4: "d5dd614250522c77ae97e348124b0f224a35c883f9da4c0854de059e6043bb5b",
-    5: "8e27ae78987f68b4c1c5f58f53ea3d42eaa2349e4af52e3f96bdff4782364505",
+    2: "c10c40be14c3802b7304dcf9369d6093ce6c4b0662282bd9b22811b6050c6eb4",
+    4: "fd4bb7a869cfe80398070929db52387fcc6d1f152c8bb98e0d30cf6d3ee74b70",
+    5: "4d4ea8185e189ffa40ee53da137a2a712e16e446b9b31fc4865a23263d9861ab",
 }
 
 

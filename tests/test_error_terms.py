@@ -3,8 +3,8 @@ import functools
 import math
 import os
 import sys
-import threading
 import time
+import traceback
 import tracemalloc
 
 import numpy as np
@@ -266,10 +266,9 @@ def sequential_quadrature(chunk: float, steps) -> tuple[np.ndarray, np.ndarray]:
     (0.0625, [1300.0]),          # six groups, more than the threads
 ])
 def test_worker_count_does_not_change_bits(monkeypatch, chunk, steps):
-    # groups are integrated in any order by any thread, then summed in chunk
-    # order: every worker count gives the single-threaded running sum's bits.
-    # A short switch interval interleaves the threads often; a group taken
-    # twice or skipped would leave a slot wrong
+    # groups are integrated on the calling thread and summed in chunk order:
+    # every worker count gives the group-by-group running sum's bits.  A
+    # short switch interval would interleave any thread that started
     ref_cum, ref_err = sequential_quadrature(chunk, steps)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -285,55 +284,22 @@ def test_worker_count_does_not_change_bits(monkeypatch, chunk, steps):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_failing_group_leaves_cache_unchanged(monkeypatch, workers):
+def test_failing_group_leaves_cache_unchanged(monkeypatch):
     # the cache holds [0, 200]; the new chunks form groups [800, 4896) and
-    # [4896, 5200).  In one thread the second group raises; with helpers the
-    # calling thread's group waits (at most 10 s) until the helper's group
-    # has raised, so the error comes from the helper thread
+    # [4896, 5200), and the second raises
     ms = ZetaMeanSquare()
     ms.extend_to(200.0)
     cum, err = ms._cum.tobytes(), ms._err.tobytes()
-    failed = threading.Event()
 
-    def failing(ts):
-        in_helper = threading.current_thread() is not threading.main_thread()
-        if in_helper or (workers == 1 and np.min(ts) >= 4896 * 0.25):
-            failed.set()
+    def failing(ts, grid):
+        if np.min(ts) >= 4896 * 0.25:
             raise PrecisionError("group failed")
-        if workers > 1:
-            failed.wait(10.0)
-        return zeta_abs2_grid(ts)
+        return zeta_abs2_grid(ts, grid)
 
-    monkeypatch.setattr(_workers, "WORKERS", workers)
     monkeypatch.setattr(error_terms, "zeta_abs2_grid", failing)
-    threads = threading.active_count()
     with pytest.raises(PrecisionError, match="group failed"):
         ms.extend_to(1300.0)
-    assert failed.is_set()
-    assert threading.active_count() == threads
     assert ms._cum.tobytes() == cum and ms._err.tobytes() == err
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_helper_threads_move_beside_the_caller(monkeypatch):
-    # each helper pins itself, not the process: the calling thread's CPUs
-    # stay as they were
-    caller_cpus = os.sched_getaffinity(0)
-    target = {min(caller_cpus)}
-    seen = set()
-
-    def recording(ts):
-        if threading.current_thread() is not threading.main_thread():
-            seen.add(frozenset(os.sched_getaffinity(0)))
-        return zeta_abs2_grid(ts)
-
-    monkeypatch.setattr(_workers, "WORKERS", 3)
-    monkeypatch.setattr(_workers, "cpus_beside_caller", lambda: target)
-    monkeypatch.setattr(error_terms, "zeta_abs2_grid", recording)
-    ZetaMeanSquare(0.0625).extend_to(1300.0)
-    assert seen == {frozenset(target)}
-    assert os.sched_getaffinity(0) == caller_cpus
 
 
 def test_E_direct_validation():
@@ -762,6 +728,29 @@ def test_failing_csv_worker_raises_and_leaves_no_child(monkeypatch, tmp_path, fo
         write_columns_csv(tmp_path / "x.csv", "a", (np.arange(3 * SUM_BLOCK + 5.0),))
     assert time.monotonic() - start < 10.0
     assert len(forks) == 2
+    assert_reaped(forks)
+
+
+def test_worker_traceback_reaches_the_caller(monkeypatch, tmp_path, forks, assert_reaped):
+    # a worker's exception arrives with the worker's formatted traceback
+    # chained as its cause, so the caller's traceback names the body's
+    # failing line, not only _workers' re-raise
+    caller, block = os.getpid(), error_terms._csv_block
+
+    def failing(columns, row, lo):
+        if os.getpid() != caller:
+            raise PrecisionError("block failed")  # the worker's failing line
+        return block(columns, row, lo)
+
+    monkeypatch.setattr(_workers, "WORKERS", 2)
+    monkeypatch.setattr(error_terms, "_csv_block", failing)
+    with pytest.raises(PrecisionError, match="block failed") as info:
+        write_columns_csv(tmp_path / "x.csv", "a", (np.arange(2 * SUM_BLOCK + 5.0),))
+    assert isinstance(info.value.__cause__, _workers.RemoteTraceback)
+    text = "".join(traceback.format_exception(info.value))
+    assert f"line {failing.__code__.co_firstlineno + 2}, in failing" in text
+    assert "# the worker's failing line" in text
+    assert len(forks) == 1
     assert_reaped(forks)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zetadiv import (InvalidArgumentError, OutOfRangeError, PrecisionError, ResourceLimitError,
@@ -443,6 +443,91 @@ def test_non_progressions_keep_the_loop_bits(monkeypatch, block_calls, rng):
     for t in (TWO_PI * 200.5**2, 1e8 + 0.37):
         assert rs_z_grid(np.array([t]))[0] == loop_z(np.array([t]), monkeypatch)[0]
     assert block_calls == []
+
+
+def gl_offsets(nodes: int, panels: int, width: float) -> np.ndarray:
+    """The Gauss offsets of one chunk, as the quadrature lays them out."""
+    x = np.polynomial.legendre.leggauss(nodes)[0]
+    h = width / panels
+    return ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) * h).ravel()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.05, 1.0), st.integers(1, 300), st.floats(0.0, 1.0), st.sampled_from([6, 12]),
+       st.integers(1, 3), st.integers(1, 3000))
+@example(0.25, 1, 0.0, 6, 1, 4956)              # the 283-term head from t = 0 to 200
+@example(0.25, 56, 0.5, 6, 1, 3000)
+@example(0.05, 300, 0.99, 12, 3, 3000)
+@example(1.0, 300, 0.0, 12, 3, 2 * 128 * 7 * 36 + 5)  # three slabs of rows
+def test_product_grid_kernel_matches_loop(width, K, where, nodes, panels, size):
+    # nodes width k + offsets[j] from a drawn chunk of the band where
+    # floor(sqrt(t / 2 pi)) = K, or of [0, 200) for K < 5, whose bands lie
+    # below t = 200: every node of a kernel row against one term per cosine
+    # (Riemann-Siegel) or the Euler-Maclaurin head and tail (below 200),
+    # within README's kernel bound; the rows the kernel leaves get the
+    # loop's bits
+    offsets = gl_offsets(nodes, panels, width)
+    em = K < 5
+    lo, hi = (0.0, SCAN_RS_MIN_T) if em else (TWO_PI * K * K, TWO_PI * (K + 1) ** 2)
+    k0 = math.floor((lo + where * (hi - lo)) / width)
+    q = k0 * offsets.size + np.arange(size)
+    ts = width * (q // offsets.size) + offsets[q % offsets.size]
+    # the nodes of [0, 200) or of the band are one run of the ascending grid
+    keep = ts < SCAN_RS_MIN_T if em else np.floor(np.sqrt(ts / TWO_PI)) == K
+    assume(keep.any())
+    q, ts = q[keep], ts[keep]
+    grid = (int(q[0]), width, offsets)
+    # a kernel row's phases are those of its first chunk plus offsets up to
+    # the row's span, so README's bound is taken at the end of the last row
+    t_end = float(ts[-1]) + zeta._BLOCK_POINTS // offsets.size * width
+    if em:
+        s = 0.5 + 1j * ts
+        ref = zeta._em_sum(s, 284, 12)
+        got = zeta._zeta_half_em_grid(ts, grid)
+        _, on = zeta._grid_sums(grid, ts.size, lambda first, last: (last < SCAN_RS_MIN_T) * 283)
+        bound = phase_rounding_term(t_end, 283)
+    else:
+        th = rs_theta(ts)
+        ref = _main_sum_loop(ts, th, K)
+        p, on = zeta._grid_sums(grid, ts.size, zeta._rs_row_terms)
+        got = np.where(on, np.cos(th) * p.real - np.sin(th) * p.imag, ref)
+        bound = (phase_rounding_term(t_end, K)
+                 + 2.0 * 2.0 ** -53 * float(th[-1]) * float(np.sum(np.arange(1, K + 1) ** -0.5)))
+        assert np.array_equal(rs_z_grid(ts, grid)[~on], rs_z_grid(ts[~on]))
+    assume(on.any())
+    assert np.all(np.abs(got - ref) <= bound), float(np.max(np.abs(got - ref) - bound))
+    assert np.array_equal(got[~on], ref[~on])
+
+
+def test_product_grid_keeps_the_flat_bits_where_it_must():
+    # a chunk across 2 pi K^2 and one across t = 200 lie in rows the kernel
+    # leaves, so their nodes get the flat path's bits, in a call with their
+    # neighbours; starts that are not multiples of the width are no product
+    # grid at all (short_interval_ms)
+    width, offsets = 0.3, gl_offsets(6, 1, 0.3)
+    for jump in (TWO_PI * 20**2, SCAN_RS_MIN_T):
+        k = math.floor(jump / width)
+        assert width * k < jump < width * (k + 1)
+        ks = np.arange(k - 300, k + 300)
+        ts = (width * ks[:, None] + offsets).ravel()
+        grid = (int(ks[0]) * offsets.size, width, offsets)
+        mine = np.repeat(ks == k, offsets.size)
+        z_grid, z_flat = zeta_abs2_grid(ts, grid), zeta_abs2_grid(ts)
+        assert np.array_equal(z_grid[mine], z_flat[mine]), jump
+        assert not np.array_equal(z_grid, z_flat)  # the other rows take the kernel
+    from zetadiv.error_terms import _gl_pieces
+    keys = []
+
+    def recording(ts, grid):
+        keys.append(grid)
+        return zeta_abs2_grid(ts, grid)
+
+    starts = 1e4 + 0.1 + 0.25 * np.arange(64)
+    vals, _ = _gl_pieces(starts, 0.25, 1, recording)
+    assert keys == [None, None]
+    assert np.array_equal(vals, _gl_pieces(starts, 0.25, 1, lambda ts, grid: zeta_abs2_grid(ts))[0])
+    _gl_pieces(starts - 0.1, 0.25, 1, recording)
+    assert keys[2][0] == 40_000 * 6 and keys[3] is None  # the audit is never a grid
 
 
 def test_scan_engine_seam_continuity():
