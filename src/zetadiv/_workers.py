@@ -1,14 +1,15 @@
 """The CPUs one call may spread over, and the one way work goes to forked workers.
 
-The sieve and the CSV writer read ``WORKERS`` through this module at call
-time, so one assignment sets both.  Each ``deal``s its items, keeps share 0
-and gives each other share to a ``Forked`` worker, so both deal, send back
-and fail the same way.  The quadrature runs on the calling thread only.
+The sieve, the CSV writer and the quadrature (blocks of kernel slabs, dealt
+under ``one_blas_thread`` where it finds a BLAS to cap) read ``WORKERS`` here
+at call time.  Each ``deal``s its items, keeps share 0 and gives each other
+share to a ``Forked`` worker, so all deal, send back and fail the same way.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import pickle
 import traceback
@@ -55,6 +56,45 @@ def deal(items) -> list:
     """
     shares = max(1, min(WORKERS, len(items))) if hasattr(os, "fork") else 1
     return [items[w::shares] for w in range(shares)]
+
+
+@functools.cache
+def _openblas() -> list:
+    """(get, set) thread-count functions of each OpenBLAS mapped here, found on first use."""
+    import ctypes
+    paths, found = set(), []
+    with contextlib.suppress(OSError), open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    for path in sorted(paths):
+        with contextlib.suppress(OSError, StopIteration):
+            lib = ctypes.CDLL(path)  # mapped already, so this only takes a handle
+            name = next(n for n in (f"{a}openblas_%s_num_threads{b}" for a in ("scipy_", "")
+                                    for b in ("64_", "")) if hasattr(lib, n % "set"))
+            get, put = getattr(lib, name % "get"), getattr(lib, name % "set")
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            found.append((get, put))
+    return found
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Set each OpenBLAS found to one thread in the block, which a worker forked
+    there keeps, and restore its count on the way out; yields whether any was found."""
+    olds = [(put, get()) for get, put in _openblas()]
+    try:
+        for put, _ in olds:
+            put(1)
+        yield bool(olds)
+    finally:
+        for put, old in olds:
+            put(old)
+
+
+def send_each(send, fn, items) -> None:
+    """A ``Forked`` body that sends fn(item) for each of ``items`` in turn."""
+    for item in items:
+        send(fn(item))
 
 
 _END = object()  # what a worker's pipe yields at its end

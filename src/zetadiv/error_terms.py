@@ -40,7 +40,7 @@ from .divisor import (MAX_SIEVE_LIMIT, SUM_BLOCK, DivisorTable, block_sum, delta
                       main_term, sieve_divisors)
 from .errors import (InvalidArgumentError, OutOfRangeError, PrecisionError,
                      PrecisionWarning, ResourceLimitError)
-from .zeta import SCAN_RS_MIN_T, TWO_PI, rs_term_count, zeta_abs2_grid
+from .zeta import SCAN_RS_MIN_T, TWO_PI, _slab_chunks, rs_term_count, zeta_abs2_grid
 
 #: Atkinson cutoff window: the formula needs A*T < N < A'*T for fixed
 #: 0 < A < A'; these are the configured constants (N defaults to T).
@@ -101,17 +101,18 @@ def _gl_sum(starts: np.ndarray, width: float, m: int, f, rule, k0: int | None = 
     return (ys * np.tile(0.5 * h * w, m)).sum(axis=1)
 
 
-def _gl_pieces(starts: np.ndarray, width: float, m: int, f) -> tuple[np.ndarray, float]:
-    """GL_NODES-point integrals of f on the pieces, and the audit estimate.
+def _gl_pieces(starts: np.ndarray, width: float, m: int, f,
+               stride: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """GL_NODES-point integrals of f on the pieces, and each piece's audited difference.
 
     Starts that are width k for consecutive k >= 0, bit for bit, form a
-    product grid (``_gl_sum``); any others do not.  The audit re-integrates
-    at 2*GL_NODES nodes, in one more call of f with no grid key, every 64th
-    piece and each piece that holds a jump of ``zeta_abs2_grid``: the route
-    seam at ``SCAN_RS_MIN_T`` and each Riemann-Siegel length change at
-    2 pi K^2 above it.  The largest audited difference is the error charged
-    to every piece; it also covers the block kernel's rounding against the
-    per-term loop.
+    product grid (``_gl_sum``), as ``extend_to``'s blocks do; any others do
+    not.  The audit re-integrates at 2*GL_NODES nodes, in one more call of
+    f with no grid key, every 64th piece from piece ``stride`` mod 64 and each
+    piece that holds a jump of ``zeta_abs2_grid``: the route seam at
+    ``SCAN_RS_MIN_T`` and each length change at 2 pi K^2 above it.  Each
+    audited difference (0 where none) also covers the block kernel's
+    rounding against the per-term loop.
     """
     k0 = int(np.rint(starts[0] / width))
     chunked = k0 >= 0 and np.array_equal(width * np.arange(k0, k0 + starts.size), starts)
@@ -119,23 +120,24 @@ def _gl_pieces(starts: np.ndarray, width: float, m: int, f) -> tuple[np.ndarray,
     ends = starts + width
     audit = (ends > SCAN_RS_MIN_T) & ((starts < SCAN_RS_MIN_T) | (
         np.floor(np.sqrt(starts / TWO_PI)) != np.floor(np.sqrt(ends / TWO_PI))))
-    audit[::64] = True
-    fine = _gl_sum(starts[audit], width, m, f, _GL_AUDIT_RULE)
-    return vals, float(np.max(np.abs(fine - vals[audit])))
+    audit[stride % 64::64] = True
+    diffs = np.zeros(starts.size)
+    diffs[audit] = np.abs(_gl_sum(starts[audit], width, m, f, _GL_AUDIT_RULE) - vals[audit])
+    return vals, diffs
 
 
 class ZetaMeanSquare:
     """Chunked, extendable quadrature cache for integral_0^T Z(t)^2 dt.
 
-    The axis is split into fixed chunks, integrated by ``_gl_pieces`` in
-    groups; every chunk carries its group's audit estimate.  That covers
-    quadrature only: the integrand's own Riemann-Siegel error, at most
-    0.053 t^(-5/4) per Z value, is not in it.  Extending from T1 to T2 only
-    computes the new chunks, so one instance serves a whole scan.  Chunk
-    k starts at k * chunk, so each group's nodes are a product grid of
-    chunk starts and Gauss offsets, which ``zeta_abs2_grid`` sums on the
-    block kernel; a piece's bits do not depend on the grouping.  Do not
-    share an instance while it grows.
+    The axis is split into fixed chunks, integrated by ``_gl_pieces``; every
+    chunk carries its group's audit estimate.  That covers quadrature only:
+    the integrand's own Riemann-Siegel error, at most 0.053 t^(-5/4) per Z
+    value, is not in it.  Extending from T1 to T2 only computes the new
+    chunks, so one instance serves a whole scan.  Chunk k starts at k *
+    chunk, so the nodes are a product grid of chunk starts and Gauss
+    offsets, which ``zeta_abs2_grid`` sums on the block kernel; a piece's
+    bits depend on neither blocks nor groups.  Do not share an instance
+    while it grows.
     """
 
     def __init__(self, chunk: float = 0.25):
@@ -148,14 +150,15 @@ class ZetaMeanSquare:
     def extend_to(self, T: float) -> None:
         """Ensure the cached chunks cover [0, T]; only new chunks are computed.
 
-        Groups of up to 4096 new chunks take the panel count of their last
-        chunk, which no chunk's own count exceeds (one panel for the default
-        chunk below t = 2 pi e^10 ~ 1.38e5), and are integrated in turn on
-        the calling thread; then one running sum adds the pieces in chunk
-        order.  Each call that grows the cache allocates its two arrays
-        once, at their new length; a cache of ``E_GRID_MAX_POINTS`` chunks
-        or more raises ResourceLimitError first.  If a group raises, the
-        cache is left as it was.
+        Groups of up to 4096 new chunks take the panel count m of their last
+        chunk.  Blocks cut at every two kernel slabs (J = 256 // (6 m) chunks
+        by 128) and where m changes compute each node once, with their audit
+        pieces; under ``_workers.one_blas_thread``, if it finds a BLAS to
+        cap, ``_workers.deal`` spreads them over the caller (share 0, so t <
+        200) and ``_workers.Forked`` workers.  Each group is charged its
+        largest audited difference; one running sum adds the pieces in order.
+        ``E_GRID_MAX_POINTS`` chunks or more raise ResourceLimitError before
+        anything is allocated.  If a block raises, the cache stays as it was.
         """
         if not math.isfinite(T):
             raise InvalidArgumentError(f"extend_to needs finite T, got {T!r}")
@@ -168,13 +171,32 @@ class ZetaMeanSquare:
             return
         cum, err = np.empty(need + 1), np.empty(need + 1)
         cum[:k + 1], err[:k + 1] = self._cum, self._err
+
+        firsts, prev = {}, None  # each block's first chunk: its m
         for lo in range(k, need, 4096):
             hi = min(lo + 4096, need)
             m = _panel_count(self.chunk, hi * self.chunk)
-            # each piece lands in its own slot; the running sum comes later
-            cum[lo + 1:hi + 1], worst = _gl_pieces(
-                self.chunk * np.arange(lo, hi), self.chunk, m, zeta_abs2_grid)
-            err[lo + 1:hi + 1] = err[lo] + worst * np.arange(1, hi - lo + 1)
+            if m != prev:
+                firsts[lo] = prev = m
+            size = 2 * _slab_chunks(GL_NODES * m)
+            firsts.update(dict.fromkeys(range(-(-lo // size) * size, hi, size), m))
+        blocks = [(lo, hi, firsts[lo]) for lo, hi in zip(firsts, [*firsts][1:] + [need])]
+
+        def pieces(block):
+            lo, hi, m = block
+            return _gl_pieces(self.chunk * np.arange(lo, hi), self.chunk, m, zeta_abs2_grid, k - lo)
+
+        with _workers.one_blas_thread() as capped, _workers.Forked() as forked:
+            shares = _workers.deal(blocks) if capped else [blocks]
+            for share in shares[1:]:
+                forked.start(_workers.send_each, pieces, share)
+            for b, (lo, hi, _) in enumerate(blocks):  # charges and running sum come later
+                w = b % len(shares)
+                cum[lo + 1:hi + 1], err[lo + 1:hi + 1] = (
+                    forked.receive(w - 1) if w else pieces(blocks[b]))
+        for lo in range(k, need, 4096):
+            hi = min(lo + 4096, need)
+            err[lo + 1:hi + 1] = err[lo] + np.max(err[lo + 1:hi + 1]) * np.arange(1, hi - lo + 1)
         # cumsum adds in sequence, as a running float sum would
         np.cumsum(cum[k:], out=cum[k:])
         self._cum, self._err = cum, err
@@ -476,12 +498,6 @@ def _csv_block(columns, row: str, lo: int) -> bytes:
     return (row * len(cells) % tuple(cells.ravel().tolist())).encode()
 
 
-def _csv_worker(send, columns, row: str, starts) -> None:
-    """Body of a forked CSV worker: send each block at ``starts`` in turn."""
-    for lo in starts:
-        send(_csv_block(columns, row, lo))
-
-
 def write_columns_csv(path, header: str, columns) -> None:
     """CSV of equal-length float64 arrays, shortest round-trip repr, ``SUM_BLOCK`` rows a step.
 
@@ -503,7 +519,7 @@ def write_columns_csv(path, header: str, columns) -> None:
     with open(path, "wb") as fh, _workers.Forked() as forked:
         fh.write(f"{header}\n".encode())
         for share in shares[1:]:
-            forked.start(_csv_worker, columns, row, share)
+            forked.start(_workers.send_each, lambda lo: _csv_block(columns, row, lo), share)
         for b, lo in enumerate(starts):
             w = b % len(shares)
             fh.write(forked.receive(w - 1) if w else _csv_block(columns, row, lo))
@@ -646,9 +662,9 @@ def short_interval_ms(T: float, G: float) -> float:
     width = (b - a) / n
     m = _panel_count(width, b)
     _check_nodes(n * m * GL_NODES)
-    vals, worst = _gl_pieces(a + width * np.arange(n), width, m,
+    vals, diffs = _gl_pieces(a + width * np.arange(n), width, m,
                              lambda ts, grid: smooth_window(ts, T, G) * zeta_abs2_grid(ts, grid))
-    value, err = float(np.sum(vals)), worst * n
+    value, err = float(np.sum(vals)), float(np.max(diffs)) * n
     if err > max(0.05, 1e-6 * abs(value)):
         raise PrecisionError(f"short-interval audit estimate {err:.3e} exceeds the tolerance")
     return value

@@ -39,7 +39,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebfit, chebval
 
 from .errors import InvalidArgumentError, OutOfRangeError, PrecisionError, ResourceLimitError
 
@@ -281,40 +280,28 @@ def rs_theta(t):
 #
 # The remainder kernel  psi_rs(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p)
 # is entire (the cos zeros cancel) and even about p = 1/2.  A Chebyshev
-# interpolant of degree 40 in x = (p - 1/2) / 0.6 on [-0.1, 1.1], fitted
-# at import, is spectrally accurate; its odd coefficients are rounding
-# (<= 6e-16).  With y = 2 x^2 - 1, T_2k(x) = T_k(y), so C0 = psi_rs is the
-# 14-term series in y of its even coefficients up to T_26(x) (the next is
-# 5e-17).  psi_rs''' is odd in x, and psi_rs'''/x is a 12-term series in y,
-# refit at import from the third derivative of that chopped series (a
-# polynomial of degree 22 in x, so the refit is exact).  C1 =
-# -psi_rs'''/(96 pi^2).  Against mpmath on p in [0, 1], C0 is within
-# 2e-15 and psi_rs''' within 6.2e-11; three derivatives of the whole
-# degree-40 fit, which turn its rounding-level tail into a plateau,
-# reached 6.1e-10.
+# interpolant of degree 40 in x = (p - 1/2) / 0.6 on [-0.1, 1.1] is
+# spectrally accurate; its odd coefficients are rounding (<= 6e-16).  With
+# y = 2 x^2 - 1, T_2k(x) = T_k(y), so C0 = psi_rs is the 14-term series in
+# y of its even coefficients up to T_26(x) (the next is 5e-17).  psi_rs'''
+# is odd in x, and psi_rs'''/x is a 12-term series in y, refit from the
+# third derivative of that chopped series (a polynomial of degree 22 in x,
+# so the refit is exact).  C1 = -psi_rs'''/(96 pi^2).  Against mpmath on p
+# in [0, 1], C0 is within 2e-15 and psi_rs''' within 6.2e-11; three
+# derivatives of the whole degree-40 fit, which turn its rounding-level
+# tail into a plateau, reached 6.1e-10.  The series are literals of one fit
+# (refit by tests/test_zeta.py): a fit at import moved with OpenBLAS's core type.
 # ---------------------------------------------------------------------------
 
-def _psi_rs(p):
-    """The Riemann-Siegel remainder kernel as the plain quotient."""
-    return np.cos(TWO_PI * (p * p - p - 0.0625)) / np.cos(TWO_PI * p)
-
-
-def _cheb_nodes(n: int) -> np.ndarray:
-    """The n Chebyshev points of the first kind on [-1, 1]."""
-    return np.cos(np.pi * (np.arange(n) + 0.5) / n)
-
-
-# The plain quotient is safe at the fit's 41 nodes: |cos 2 pi p| >= 0.10
-# there, and fitting the factored form sin(pi v (1-2k) - 2 pi v^2) /
-# sin(2 pi v) (v = p - 1/4 - k/2, sign aside) instead moves no coefficient
-# by more than 2.4e-16.
-_PSI_NODES = _cheb_nodes(41)  # x = (p - 0.5) / 0.6
-_PSI_EVEN = chebfit(_PSI_NODES, _psi_rs(0.6 * _PSI_NODES + 0.5), 40)[0:28:2]
-# psi_rs''' in T_k(x): three derivatives of the even series with its odd zeros put back
-_PSI3_IN_X = chebder(np.insert(_PSI_EVEN, np.arange(1, 14), 0.0), 3) / 0.6**3
-_Y_NODES = _cheb_nodes(12)
-_X_AT_Y_NODES = np.sqrt(0.5 * (_Y_NODES + 1.0))  # >= 0.066
-_PSI3_OVER_X = chebfit(_Y_NODES, chebval(_X_AT_Y_NODES, _PSI3_IN_X) / _X_AT_Y_NODES, 11)
+_PSI_EVEN = np.array([0.7701166108884944, 0.4047592588098271, 0.012458576706520456,
+                      -0.00539486467264038, -0.000523700546386211, 6.380782712433356e-06,
+                      2.8042339897436015e-06, 7.858878025224534e-08, -5.748520301143063e-09,
+                      -3.3675075448956613e-10, 3.5412436258768737e-12, 6.273885709228133e-13,
+                      6.316547112081988e-15, -8.9785108925517e-16])
+_PSI3_OVER_X = np.array([-18.493653092879132, -61.3538657877619, -11.870425840327524,
+                         0.7678729866479539, 0.2892234721985932, 0.01006962632224433,
+                         -0.001624562594782116, -0.00011772663423331661, 2.5442171815737662e-06,
+                         4.358707023089295e-07, 3.8560667554219825e-09, -1.0374661064686853e-09])
 #: psi_rs and psi_rs'''/x in T_k(y), k = 0..13, one (2, 1) column per k
 _PSI_Y_COEF = np.stack([_PSI_EVEN, np.pad(_PSI3_OVER_X, (0, 2))], axis=1)[:, :, None]
 _C1_SCALE = -1.0 / (96.0 * math.pi**2)
@@ -460,6 +447,11 @@ def _main_sum_block(t: np.ndarray, th: np.ndarray, K: int) -> np.ndarray:
     return np.cos(th) * p.real - np.sin(th) * p.imag
 
 
+def _slab_chunks(nodes: int) -> int:
+    """Chunks in one slab of ``_grid_sums`` for ``nodes`` offsets a chunk: 128 rows of J."""
+    return _SLAB_ROWS * max(1, _BLOCK_POINTS // nodes)
+
+
 def _grid_sums(grid, size: int, row_terms) -> tuple[np.ndarray, np.ndarray]:
     """sum_{n<=N} n^(-1/2) e^{-i t log n} over the nodes of a product grid, and where it holds.
 
@@ -479,10 +471,11 @@ def _grid_sums(grid, size: int, row_terms) -> tuple[np.ndarray, np.ndarray]:
     Slabs start at rows that are multiples of 128 and are always evaluated
     whole, and each tile of 128 terms adds one GEMM per slab, with the terms
     past a row's N zeroed in V.  So a node's bits depend only on its index,
-    the width, the offsets and its row's N, not on the call's other nodes.
+    the width, the offsets and its row's N, not on the call's other nodes;
+    ``ZetaMeanSquare.extend_to``'s blocks are whole slabs (``_slab_chunks``).
     """
     q0, width, offsets = grid
-    J = max(1, _BLOCK_POINTS // offsets.size)
+    J = _slab_chunks(offsets.size) // _SLAB_ROWS
     cols = J * offsets.size
     r0 = q0 // cols // _SLAB_ROWS * _SLAB_ROWS
     r1 = -(-(q0 + size) // (cols * _SLAB_ROWS)) * _SLAB_ROWS

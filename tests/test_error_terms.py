@@ -17,9 +17,9 @@ from zetadiv import (E_atkinson, E_balasubramanian, E_direct, E_grid,
                      ResourceLimitError, ZetaMeanSquare, delta_via_psi,
                      empirical_exponent, estar_scan, hyperbola_divisor_sum,
                      short_interval_ms, voronoi_delta)
-from zetadiv import _workers, error_terms
+from zetadiv import _workers, error_terms, zeta
 from zetadiv.divisor import SUM_BLOCK, main_term
-from zetadiv.error_terms import (ATKINSON_A, ATKINSON_A_PRIME, _gl_pieces,
+from zetadiv.error_terms import (ATKINSON_A, ATKINSON_A_PRIME, GL_NODES, _gl_pieces,
                                  _panel_count, atkinson_e, atkinson_f,
                                  atkinson_n_prime, moment_scan_from_samples,
                                  smooth_window, write_columns_csv)
@@ -110,7 +110,8 @@ def test_shared_gl_samples_match_separate_grids():
     m = _panel_count(ms.chunk, T)
     # one chunk group at one panel count
     assert m == 1 and n <= 4096
-    vals, worst = _gl_pieces(ms.chunk * np.arange(n), ms.chunk, m, zeta_abs2_grid)
+    vals, diffs = _gl_pieces(ms.chunk * np.arange(n), ms.chunk, m, zeta_abs2_grid)
+    worst = np.max(diffs)
     cum = [0.0]
     for v in vals.tolist():
         cum.append(cum[-1] + v)
@@ -167,10 +168,10 @@ def test_audit_estimate_bounds_window_error(t0):
     # 64 pieces, one stride of the audit; the piece [199.85, 200.1] holds the
     # route seam and [19006.5, 19006.75] the length change at 2 pi 55^2
     starts = t0 + 0.25 * np.arange(64)
-    vals, worst = _gl_pieces(starts, 0.25, _panel_count(0.25, t0 + 16.0), zeta_abs2_grid)
+    vals, diffs = _gl_pieces(starts, 0.25, _panel_count(0.25, t0 + 16.0), zeta_abs2_grid)
     ref = gl16_split(t0, t0 + 16.0)
     # below ~1e-12 both sides are rounding: allow 16 ulp of the window integral
-    assert abs(float(np.sum(vals)) - ref) <= 64 * worst + 16 * 2.0**-52 * abs(ref)
+    assert abs(float(np.sum(vals)) - ref) <= 64 * np.max(diffs) + 16 * 2.0**-52 * abs(ref)
 
 
 def test_E_direct_meets_default_tol_at_3e4():
@@ -252,47 +253,58 @@ def sequential_quadrature(chunk: float, steps) -> tuple[np.ndarray, np.ndarray]:
         k, need = len(cum) - 1, math.ceil(T / chunk)
         for lo in range(k, need, 4096):
             hi = min(need, lo + 4096)
-            vals, worst = _gl_pieces(chunk * np.arange(lo, hi), chunk,
+            vals, diffs = _gl_pieces(chunk * np.arange(lo, hi), chunk,
                                      _panel_count(chunk, hi * chunk), zeta_abs2_grid)
             for j, v in enumerate(vals.tolist(), 1):
                 cum.append(cum[-1] + v)
-                err.append(err[lo] + worst * j)
+                err.append(err[lo] + np.max(diffs) * j)
     return np.array(cum), np.array(err)
 
 
 @pytest.mark.parametrize("chunk, steps", [
-    (0.25, [1300.0]),            # 5,200 chunks: two groups, across the seam at t = 200
-    (0.25, [500.0, 1300.0]),     # the second call starts from a cached prefix
-    (0.0625, [1300.0]),          # six groups, more than the threads
+    (0.25, [(1300.0, 1)]),              # 5,200 chunks: two groups in one block, across t = 200
+    (0.25, [(500.0, 1), (1300.0, 1)]),  # the second call starts from a cached prefix
+    (0.0625, [(1300.0, 2)]),            # six groups, 20,800 chunks; two slabs are 10,752
+    (1.0, [(12288.0, 5)]),              # groups at m = 3, 3, 4: blocks of 3,584 chunks to
+                                        # 8,192, where m changes, then of 2,560
+    (0.0625, [(501.0, 1), (4000.0, 6)]),  # strides from chunk 8,016; [3060, 3316] has no jump
 ])
-def test_worker_count_does_not_change_bits(monkeypatch, chunk, steps):
-    # groups are integrated on the calling thread and summed in chunk order:
-    # every worker count gives the group-by-group running sum's bits.  A
-    # short switch interval would interleave any thread that started
-    ref_cum, ref_err = sequential_quadrature(chunk, steps)
+def test_worker_count_does_not_change_bits(monkeypatch, forks, assert_reaped, chunk, steps):
+    # steps are (T, blocks), each extend_to call's T and the blocks it
+    # integrates.  Blocks are dealt over the caller and forked workers, or
+    # all kept by the caller where no OpenBLAS is found to cap, and the
+    # groups are charged and summed in chunk order: every worker count gives
+    # the group-by-group running sum's bits.  A short switch interval would
+    # interleave any thread that started
+    ref_cum, ref_err = sequential_quadrature(chunk, [T for T, _ in steps])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for workers in (1, 3):
+        for workers, blas in ((1, True), (2, True), (3, True), (3, False)):
             monkeypatch.setattr(_workers, "WORKERS", workers)
+            if not blas:
+                monkeypatch.setattr(_workers, "_openblas", lambda: [])
+            forks.clear()
             ms = ZetaMeanSquare(chunk)
-            for T in steps:
+            for T, _ in steps:
                 ms.extend_to(T)
-            assert ms._cum.tobytes() == ref_cum.tobytes(), workers
-            assert ms._err.tobytes() == ref_err.tobytes(), workers
+            assert ms._cum.tobytes() == ref_cum.tobytes(), (workers, blas)
+            assert ms._err.tobytes() == ref_err.tobytes(), (workers, blas)
+            assert len(forks) == (sum(min(workers, b) - 1 for _, b in steps) if blas else 0)
+            assert_reaped(forks)
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_failing_group_leaves_cache_unchanged(monkeypatch):
     # the cache holds [0, 200]; the new chunks form groups [800, 4896) and
-    # [4896, 5200), and the second raises
+    # [4896, 5200), both in the caller's one block, and the second raises
     ms = ZetaMeanSquare()
     ms.extend_to(200.0)
     cum, err = ms._cum.tobytes(), ms._err.tobytes()
 
     def failing(ts, grid):
-        if np.min(ts) >= 4896 * 0.25:
+        if np.max(ts) >= 4896 * 0.25:
             raise PrecisionError("group failed")
         return zeta_abs2_grid(ts, grid)
 
@@ -300,6 +312,80 @@ def test_failing_group_leaves_cache_unchanged(monkeypatch):
     with pytest.raises(PrecisionError, match="group failed"):
         ms.extend_to(1300.0)
     assert ms._cum.tobytes() == cum and ms._err.tobytes() == err
+
+
+def test_failing_quadrature_worker_leaves_cache_unchanged(monkeypatch, forks, assert_reaped):
+    # the cache holds [0, 200]; the new chunks form the blocks [800, 10752)
+    # and [10752, 16000), the second in the forked worker's share, and it
+    # raises there: the caller raises its exception, with the worker's
+    # traceback as the cause, and leaves the cache as it was
+    ms = ZetaMeanSquare()
+    ms.extend_to(200.0)
+    cum, err = ms._cum.tobytes(), ms._err.tobytes()
+    caller = os.getpid()
+
+    def failing(ts, grid):
+        if np.min(ts) >= 10752 * 0.25:
+            assert os.getpid() != caller
+            raise PrecisionError("block failed")
+        return zeta_abs2_grid(ts, grid)
+
+    monkeypatch.setattr(_workers, "WORKERS", 2)
+    monkeypatch.setattr(error_terms, "zeta_abs2_grid", failing)
+    with pytest.raises(PrecisionError, match="block failed") as info:
+        ms.extend_to(4000.0)
+    assert isinstance(info.value.__cause__, _workers.RemoteTraceback)
+    assert ms._cum.tobytes() == cum and ms._err.tobytes() == err
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_quadrature_worker_blas_cap_restores_thread_count(monkeypatch):
+    # one_blas_thread sets each OpenBLAS it finds to one thread (so a worker
+    # forked inside keeps one) and restores each count, also when the block
+    # raises; with none found it yields False and sets nothing
+    libs = _workers._openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS in this process")
+    olds = [get() for get, _ in libs]
+    try:
+        for _, put in libs:
+            put(2)
+        with pytest.raises(ValueError, match="inside"):
+            with _workers.one_blas_thread() as capped:
+                assert capped and [get() for get, _ in libs] == [1] * len(libs)
+                raise ValueError("inside")
+        assert [get() for get, _ in libs] == [2] * len(libs)
+        monkeypatch.setattr(_workers, "_openblas", lambda: [])
+        with _workers.one_blas_thread() as capped:
+            assert not capped and [get() for get, _ in libs] == [2] * len(libs)
+    finally:
+        for (_, put), old in zip(libs, olds):
+            put(old)
+
+
+def test_quadrature_kernel_computes_each_node_once(monkeypatch):
+    # extend_to's blocks are whole slabs of zeta._grid_sums, which computes
+    # whole slabs: over the nodes it returns it computes at most two slabs
+    # (64,512 nodes), the Euler-Maclaurin call's slab below t = 200 and the
+    # last block's.  Groups of 4096 chunks rounded out to slabs computed
+    # 290,304 nodes for 120,000
+    computed, returned = [], []
+    grid_sums = zeta._grid_sums
+
+    def spy(grid, size, row_terms):
+        q0, _, offsets = grid
+        slab = zeta._slab_chunks(offsets.size) * offsets.size
+        computed.append((-(-(q0 + size) // slab) - q0 // slab) * slab)
+        returned.append(size)
+        return grid_sums(grid, size, row_terms)
+
+    monkeypatch.setattr(_workers, "WORKERS", 1)
+    monkeypatch.setattr(zeta, "_grid_sums", spy)
+    ZetaMeanSquare().extend_to(5000.0)
+    slab = zeta._slab_chunks(GL_NODES) * GL_NODES
+    assert sum(returned) == 120_000 and slab == 32_256
+    assert sum(computed) - sum(returned) <= 2 * slab
 
 
 def test_E_direct_validation():

@@ -585,6 +585,34 @@ def test_convexity_exponent_domain():
 # Independent oracle: mpmath
 # ---------------------------------------------------------------------------
 
+def test_psi_literals_match_their_refit():
+    # zeta stores the Chebyshev series of psi_rs and psi_rs'''/x as the
+    # literals of this fit on OpenBLAS's SkylakeX kernels.  Refit under the
+    # Haswell, Zen and Sandybridge kernels, they moved by up to 4.6e-16 and
+    # 8.5e-9 (three derivatives scale the fit's rounding up), so each
+    # literal must lie within 2e-15 and 5e-8 of a refit made anywhere
+    from numpy.polynomial.chebyshev import chebder, chebfit, chebval
+
+    def cheb_nodes(n):
+        return np.cos(np.pi * (np.arange(n) + 0.5) / n)
+
+    # the plain quotient is safe at the fit's 41 nodes: |cos 2 pi p| >= 0.10
+    # there, and fitting the factored form sin(pi v (1-2k) - 2 pi v^2) /
+    # sin(2 pi v) (v = p - 1/4 - k/2, sign aside) instead moves no
+    # coefficient by more than 2.4e-16
+    x = cheb_nodes(41)  # x = (p - 1/2) / 0.6
+    p = 0.6 * x + 0.5
+    even = chebfit(x, np.cos(TWO_PI * (p * p - p - 0.0625)) / np.cos(TWO_PI * p), 40)[0:28:2]
+    # psi_rs''' in T_k(x): three derivatives of the even series with its odd zeros put back
+    psi3_in_x = chebder(np.insert(even, np.arange(1, 14), 0.0), 3) / 0.6**3
+    y = cheb_nodes(12)
+    x_at_y = np.sqrt(0.5 * (y + 1.0))  # >= 0.066
+    psi3_over_x = chebfit(y, chebval(x_at_y, psi3_in_x) / x_at_y, 11)
+    assert zeta._PSI_EVEN.shape == (14,) and zeta._PSI3_OVER_X.shape == (12,)
+    assert np.max(np.abs(even - zeta._PSI_EVEN)) <= 2e-15
+    assert np.max(np.abs(psi3_over_x - zeta._PSI3_OVER_X)) <= 5e-8
+
+
 @pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath not installed")
 def test_psi_model_against_mpmath(rng):
     # the even/odd Chebyshev model of the remainder kernel gives C0 (psi)
