@@ -89,14 +89,14 @@ def _gl_sum(starts: np.ndarray, width: float, m: int, f, rule, k0: int | None = 
     its own, so a piece's value does not depend on the call's other pieces.
     f gets the nodes and a product-grid key.  ``k0`` says that the starts
     are width k for k = k0, k0 + 1, ...: the nodes are then nodes k0
-    len(offsets), ... of the grid width k + offsets (``zeta._grid_sums``),
-    and the key is (k0 len(offsets), width, offsets); otherwise it is None.
+    len(offsets), ... of the grid width k + offsets (``zeta._grid_sums``, base
+    0), and the key is (k0 len(offsets), 0.0, width, offsets); else it is None.
     """
     x, w = rule
     _check_nodes(starts.size * m * x.size)
     h = width / m
     offsets = ((np.arange(m)[:, None] + 0.5 * (x + 1.0)) * h).ravel()
-    grid = None if k0 is None else (k0 * offsets.size, width, offsets)
+    grid = None if k0 is None else (k0 * offsets.size, 0.0, width, offsets)
     ys = f((starts[:, None] + offsets).ravel(), grid).reshape(starts.size, offsets.size)
     return (ys * np.tile(0.5 * h * w, m)).sum(axis=1)
 

@@ -374,7 +374,7 @@ def test_quadrature_kernel_computes_each_node_once(monkeypatch):
     grid_sums = zeta._grid_sums
 
     def spy(grid, size, row_terms):
-        q0, _, offsets = grid
+        q0, _, _, offsets = grid
         slab = zeta._slab_chunks(offsets.size) * offsets.size
         computed.append((-(-(q0 + size) // slab) - q0 // slab) * slab)
         returned.append(size)

@@ -338,22 +338,23 @@ def test_rs_z_grid_temporaries_scale_with_one_run(traced_peak):
 
 @pytest.fixture()
 def block_calls(monkeypatch):
-    """Count the K runs that take the block kernel; returns the list of their sizes."""
+    """Count the K runs that take the kernel as a grid of one offset, 0; returns their sizes."""
     calls = []
-    kernel = zeta._main_sum_block
+    kernel = zeta._grid_sums
 
-    def counted(t, th, K):
-        calls.append(t.size)
-        return kernel(t, th, K)
+    def counted(grid, size, row_terms):
+        if grid[3].size == 1 and grid[3][0] == 0.0:
+            calls.append(size)
+        return kernel(grid, size, row_terms)
 
-    monkeypatch.setattr(zeta, "_main_sum_block", counted)
+    monkeypatch.setattr(zeta, "_grid_sums", counted)
     return calls
 
 
 def loop_z(ts, monkeypatch):
     """rs_z_grid with every K run on the per-term loop, the in-repo oracle."""
     with monkeypatch.context() as m:
-        m.setattr(zeta, "_main_sum_block", _main_sum_loop)
+        m.setattr(zeta, "RS_BLOCK_MIN_K", 2**62)
         return rs_z_grid(ts)
 
 
@@ -392,7 +393,10 @@ def test_block_kernel_matches_loop_on_progressions(t0, h, m):
     t = t0 + h * np.arange(m)
     K = rs_term_count(t0)
     th = rs_theta(t)
-    diff = float(np.max(np.abs(zeta._main_sum_block(t, th, K) - _main_sum_loop(t, th, K))))
+    p, _ = zeta._grid_sums((0, t[0], (t[-1] - t[0]) / (m - 1), np.zeros(1)), m,
+                           lambda first, last: np.full(first.size, K))
+    block = np.cos(th) * p.real - np.sin(th) * p.imag
+    diff = float(np.max(np.abs(block - _main_sum_loop(t, th, K))))
     bound = (phase_rounding_term(float(t[-1]), K)
              + 2.0 * 2.0 ** -53 * float(th[-1]) * float(np.sum(np.arange(1, K + 1) ** -0.5)))
     assert diff <= bound, (diff, bound)
@@ -431,6 +435,26 @@ def test_block_kernel_two_point_runs(monkeypatch, block_calls):
     z = rs_z_grid(ts)
     assert block_calls == [2, 2]
     assert_within_envelope(z, loop_z(ts, monkeypatch), ts)
+
+
+def test_progression_computes_only_its_rows(monkeypatch, block_calls):
+    # the zeta-high window of 5,000 points at K = 3989 fills 20 rows of 256
+    # (5,120 nodes) in each tile of terms; whole slabs of 128 rows, which the
+    # quadrature needs, would compute 32,768 nodes
+    t0 = TWO_PI * (3989**2 + 2000.0)
+    ts = t0 + TWO_PI / (8.0 * math.log(t0 / TWO_PI)) * np.arange(5000)
+    assert rs_term_count(ts[0]) == rs_term_count(ts[-1]) == 3989
+    rows, phase_powers = [], zeta._phase_powers
+
+    def spy(first, step, count, logn):
+        if np.ndim(first):  # a slab's V table, from its first row
+            rows.append(count)
+        return phase_powers(first, step, count, logn)
+
+    monkeypatch.setattr(zeta, "_phase_powers", spy)
+    rs_z_grid(ts)
+    assert block_calls == [5000]
+    assert rows == [20] * -(-3989 // 128)
 
 
 def test_non_progressions_keep_the_loop_bits(monkeypatch, block_calls, rng):
@@ -476,7 +500,7 @@ def test_product_grid_kernel_matches_loop(width, K, where, nodes, panels, size):
     keep = ts < SCAN_RS_MIN_T if em else np.floor(np.sqrt(ts / TWO_PI)) == K
     assume(keep.any())
     q, ts = q[keep], ts[keep]
-    grid = (int(q[0]), width, offsets)
+    grid = (int(q[0]), 0.0, width, offsets)
     # a kernel row's phases are those of its first chunk plus offsets up to
     # the row's span, so README's bound is taken at the end of the last row
     t_end = float(ts[-1]) + zeta._BLOCK_POINTS // offsets.size * width
@@ -510,7 +534,7 @@ def test_product_grid_keeps_the_flat_bits_where_it_must():
         assert width * k < jump < width * (k + 1)
         ks = np.arange(k - 300, k + 300)
         ts = (width * ks[:, None] + offsets).ravel()
-        grid = (int(ks[0]) * offsets.size, width, offsets)
+        grid = (int(ks[0]) * offsets.size, 0.0, width, offsets)
         mine = np.repeat(ks == k, offsets.size)
         z_grid, z_flat = zeta_abs2_grid(ts, grid), zeta_abs2_grid(ts)
         assert np.array_equal(z_grid[mine], z_flat[mine]), jump
